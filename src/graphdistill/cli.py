@@ -15,23 +15,16 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import load_condensed, load_dataset, load_flat_toml, save_condensed, save_dataset
-from .evaluate import (
-    EvalConfig,
-    coreset_herding,
-    coreset_kcenter,
-    coreset_random,
-    evaluate_on_original,
-    gcn_forward,
-    renormalized_adjacency,
-    train_eval_gcn,
-)
-from .fid import fid, gaussian_stats
+from .evaluate import coreset_herding, coreset_kcenter, coreset_random
 from .graph import homophily_ratio, normalized_adjacency
 from .pipeline import (
     PipelineConfig,
     SbmSpec,
+    evaluate_condensed,
+    evaluation_gcn,
     generate_sbm,
     report_block,
+    representation_fid,
     resolve_synthetic_size,
     run_pipeline,
 )
@@ -75,18 +68,6 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
-def _eval_config(cfg: PipelineConfig) -> EvalConfig:
-    return EvalConfig(
-        epochs=cfg.eval_epochs,
-        learning_rate=cfg.eval_lr,
-        weight_decay=cfg.eval_weight_decay,
-        hidden_dim=cfg.eval_hidden,
-        dropout=cfg.eval_dropout,
-        optimizer=cfg.eval_optimizer,
-        model_selection="final",
-    )
-
-
 def _cmd_gen_sbm(args: argparse.Namespace) -> int:
     spec = SbmSpec(
         num_nodes=args.nodes,
@@ -128,11 +109,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     dataset = load_dataset(args.dataset_dir)
     condensed = load_condensed(args.condensed_dir)
-    ecfg = _eval_config(cfg)
-    accs = []
-    for r in range(cfg.eval_repeats):
-        params = train_eval_gcn(condensed, ecfg, seed=cfg.seed + r)
-        accs.append(evaluate_on_original(params, dataset, inductive=cfg.inductive))
+    _, accs = evaluate_condensed(dataset, condensed, cfg)
     accs = np.array(accs)
     print(f"accuracy_mean = {accs.mean():.6g}")
     print(f"accuracy_std = {accs.std():.6g}")
@@ -143,15 +120,8 @@ def _cmd_fid(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     dataset = load_dataset(args.dataset_dir)
     condensed = load_condensed(args.condensed_dir)
-    params = train_eval_gcn(condensed, _eval_config(cfg), seed=cfg.seed)
-    h_org = gcn_forward(params, renormalized_adjacency(dataset.graph), dataset.features)
-    h_syn = gcn_forward(
-        params, renormalized_adjacency(condensed.a_prime), condensed.x_prime
-    )
-    value = fid(
-        gaussian_stats(h_org, normalize=cfg.fid_normalize),
-        gaussian_stats(h_syn, normalize=cfg.fid_normalize),
-    )
+    params = evaluation_gcn(dataset, condensed, cfg)
+    value = representation_fid(params, dataset, condensed, cfg.fid_normalize)
     print(f"fid = {value:.6g}")
     return 0
 
@@ -178,11 +148,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     )
     if args.out_dir is not None:
         save_condensed(condensed, args.out_dir)
-    ecfg = _eval_config(cfg)
-    accs = []
-    for r in range(cfg.eval_repeats):
-        params = train_eval_gcn(condensed, ecfg, seed=cfg.seed + r)
-        accs.append(evaluate_on_original(params, dataset, inductive=cfg.inductive))
+    _, accs = evaluate_condensed(dataset, condensed, cfg)
     accs = np.array(accs)
     print(f"method = {args.method}")
     print(f"accuracy_mean = {accs.mean():.6g}")

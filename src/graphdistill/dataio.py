@@ -126,17 +126,7 @@ def load_dataset(directory: Path | str) -> Dataset:
         raise DatasetFormatError(edge_path, len(edges), f"expected {M} edges")
 
     feat_path = directory / "features.csv"
-    rows = []
-    for lineno, raw in enumerate(feat_path.read_text().splitlines(), start=1):
-        parts = raw.split(",")
-        if len(parts) != d:
-            raise DatasetFormatError(feat_path, lineno, f"expected {d} values")
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError:
-            raise DatasetFormatError(feat_path, lineno, "unparseable float")
-    if len(rows) != N:
-        raise DatasetFormatError(feat_path, len(rows), f"expected {N} rows")
+    features = _read_features(feat_path, N, d)
 
     label_path = directory / "labels.txt"
     labels = []
@@ -164,7 +154,7 @@ def load_dataset(directory: Path | str) -> Dataset:
     graph = SparseGraph.from_edges(N, np.array(edges, dtype=np.int64).reshape(-1, 2))
     return Dataset(
         graph,
-        np.array(rows, dtype=np.float64).reshape(N, d),
+        features,
         np.array(labels, dtype=np.int64),
         tokens == "train",
         tokens == "val",
@@ -172,6 +162,39 @@ def load_dataset(directory: Path | str) -> Dataset:
         K,
         name=str(meta.get("name", directory.name)),
     )
+
+
+def _read_features(path: Path, N: int, d: int) -> np.ndarray:
+    """N x d float matrix; a malformed or non-finite entry names its line."""
+    lines = path.read_text().splitlines()
+    features = None
+    if 0 < N == len(lines):
+        # loadtxt skips blank lines, so it is trusted only when it returns
+        # one row per line
+        try:
+            loaded = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            loaded = None
+        if loaded is not None and loaded.shape == (N, d):
+            features = loaded
+    if features is None:
+        # the line loop finds the first malformed line
+        rows = []
+        for lineno, raw in enumerate(lines, start=1):
+            parts = raw.split(",")
+            if len(parts) != d:
+                raise DatasetFormatError(path, lineno, f"expected {d} values")
+            try:
+                rows.append([float(v) for v in parts])
+            except ValueError:
+                raise DatasetFormatError(path, lineno, "unparseable float")
+        if len(rows) != N:
+            raise DatasetFormatError(path, len(rows), f"expected {N} rows")
+        features = np.array(rows, dtype=np.float64).reshape(N, d)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise DatasetFormatError(path, int(bad[0]) + 1, "non-finite value")
+    return features
 
 
 def save_condensed(condensed: CondensedGraph, directory: Path | str) -> None:

@@ -157,11 +157,18 @@ def _l2_penalty(params: ClassifierParams, weight_decay: float) -> float:
 
 
 class AdamState:
-    """Per-tensor first/second moment buffers with bias correction."""
+    """Per-tensor first/second moment buffers with bias correction.
+
+    Moments update in place and each step is built in two preallocated
+    scratch buffers per tensor, with the same operations in the same order
+    as the textbook formula, so results match it bit for bit.
+    """
 
     def __init__(self, shapes: list[tuple[int, ...]]):
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
+        self._num = [np.empty(s) for s in shapes]
+        self._den = [np.empty(s) for s in shapes]
         self.t = 0
 
     def step(
@@ -169,12 +176,27 @@ class AdamState:
     ) -> None:
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
-        for i, (x, g) in enumerate(zip(tensors, grads)):
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g**2
-            mhat = self.m[i] / (1.0 - b1**self.t)
-            vhat = self.v[i] / (1.0 - b2**self.t)
-            x -= lr * mhat / (np.sqrt(vhat) + eps)
+        c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+        for x, g, m, v, num, den in zip(
+            tensors, grads, self.m, self.v, self._num, self._den
+        ):
+            # m = b1 * m + (1 - b1) * g
+            np.multiply(g, 1.0 - b1, out=num)
+            m *= b1
+            m += num
+            # v = b2 * v + (1 - b2) * g**2
+            np.square(g, out=den)
+            den *= 1.0 - b2
+            v *= b2
+            v += den
+            # x -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(m, c1, out=num)
+            num *= lr
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += eps
+            num /= den
+            x -= num
 
 
 def train_classifier(
@@ -186,8 +208,12 @@ def train_classifier(
 ) -> tuple[ClassifierParams, list[float]]:
     """Train on masked rows of Z; returns final params and the loss trajectory.
 
-    The loss is masked cross-entropy plus 0.5 * weight_decay * ||W||^2 over
-    weight matrices. Deterministic for a fixed config seed.
+    Only the masked rows are read: they are sliced out once, and each epoch
+    forwards and backpropagates just its batch (all masked rows when
+    batch_size is 0), so dropout masks are drawn over those rows alone.
+    The loss is mean cross-entropy over the batch plus
+    0.5 * weight_decay * ||W||^2 over weight matrices. Deterministic for a
+    fixed config seed.
 
     Raises:
         DivergedError: on the first epoch with a non-finite loss.
@@ -199,12 +225,14 @@ def train_classifier(
         raise ValueError("empty mask")
     params = params.copy()
     rng = np.random.default_rng(cfg.seed)
-    train_idx = np.flatnonzero(mask)
     num_classes = params.weights[-1].shape[1]
     if int(labels.max()) >= num_classes:
         raise ValueError("label outside the classifier's output range")
-    onehot = np.zeros((Z.shape[0], num_classes))
-    onehot[np.arange(Z.shape[0]), labels] = 1.0
+    train_idx = np.flatnonzero(mask)
+    n_train = train_idx.shape[0]
+    Z_train, labels_train = Z[train_idx], labels[train_idx]
+    onehot_train = np.zeros((n_train, num_classes))
+    onehot_train[np.arange(n_train), labels_train] = 1.0
 
     adam: AdamState | None = None
     if cfg.optimizer == "adam":
@@ -215,26 +243,23 @@ def train_classifier(
 
     losses: list[float] = []
     for epoch in range(cfg.epochs):
-        if 0 < cfg.batch_size < train_idx.shape[0]:
-            batch = rng.choice(train_idx, size=cfg.batch_size, replace=False)
+        if 0 < cfg.batch_size < n_train:
+            batch = np.sort(rng.choice(n_train, size=cfg.batch_size, replace=False))
+            Zb, yb, onehot = Z_train[batch], labels_train[batch], onehot_train[batch]
         else:
-            batch = train_idx
-        batch_mask = np.zeros(Z.shape[0], dtype=bool)
-        batch_mask[batch] = True
+            Zb, yb, onehot = Z_train, labels_train, onehot_train
+        rows = Zb.shape[0]
 
-        logits, cache = forward_cache(params, Z, train_mode=True, rng=rng)
+        logits, cache = forward_cache(params, Zb, train_mode=True, rng=rng)
         P = softmax_predict(logits)
-        loss = cross_entropy(P, labels, batch_mask) + _l2_penalty(
+        loss = cross_entropy(P, yb, np.ones(rows, dtype=bool)) + _l2_penalty(
             params, cfg.weight_decay
         )
         if not np.isfinite(loss):
             raise DivergedError(epoch)
         losses.append(loss)
 
-        dlogits = np.zeros_like(P)
-        dlogits[batch_mask] = (P[batch_mask] - onehot[batch_mask]) / float(
-            batch.shape[0]
-        )
+        dlogits = (P - onehot) / float(rows)
         _, d_w, d_b = backward(params, cache, dlogits)
         for i in range(params.depth):
             d_w[i] = d_w[i] + cfg.weight_decay * params.weights[i]

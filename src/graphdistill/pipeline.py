@@ -28,6 +28,7 @@ from .dataio import config_hash
 from .evaluate import (
     EvalConfig,
     EvalReport,
+    GCNParams,
     evaluate_on_original,
     gcn_forward,
     renormalized_adjacency,
@@ -167,11 +168,69 @@ def resolve_synthetic_size(cfg: PipelineConfig, dataset: Dataset) -> int:
     return n
 
 
+def stage_seeds(seed: int) -> tuple[int, int, int, int, int, int]:
+    """The six stream seeds drawn from one config seed.
+
+    In order: head init, pretraining, clustering, refinement head init,
+    refinement and evaluation. Evaluation repeat r seeds its GCN with the
+    last one plus r.
+    """
+    return tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(6))
+
+
+def evaluation_gcn(
+    dataset: Dataset, condensed: CondensedGraph, cfg: PipelineConfig, repeat: int = 0
+) -> GCNParams:
+    """Train the evaluation GCN of one repeat, exactly as run_pipeline does."""
+    ecfg = EvalConfig(
+        epochs=cfg.eval_epochs,
+        learning_rate=cfg.eval_lr,
+        weight_decay=cfg.eval_weight_decay,
+        hidden_dim=cfg.eval_hidden,
+        dropout=cfg.eval_dropout,
+        optimizer=cfg.eval_optimizer,
+        model_selection=cfg.model_selection,
+    )
+    return train_eval_gcn(
+        condensed,
+        ecfg,
+        seed=stage_seeds(cfg.seed)[5] + repeat,
+        dataset=dataset if cfg.model_selection == "best_val" else None,
+    )
+
+
+def evaluate_condensed(
+    dataset: Dataset, condensed: CondensedGraph, cfg: PipelineConfig
+) -> tuple[GCNParams | None, list[float]]:
+    """Test accuracies of cfg.eval_repeats evaluation GCNs, plus the first GCN."""
+    first_params = None
+    accuracies = []
+    for r in range(cfg.eval_repeats):
+        gcn = evaluation_gcn(dataset, condensed, cfg, r)
+        if first_params is None:
+            first_params = gcn
+        accuracies.append(evaluate_on_original(gcn, dataset, inductive=cfg.inductive))
+    return first_params, accuracies
+
+
+def representation_fid(
+    params: GCNParams, dataset: Dataset, condensed: CondensedGraph, normalize: bool
+) -> float:
+    """FID between the GCN outputs on the original and the condensed graph."""
+    h_org = gcn_forward(params, renormalized_adjacency(dataset.graph), dataset.features)
+    h_syn = gcn_forward(
+        params, renormalized_adjacency(condensed.a_prime), condensed.x_prime
+    )
+    return fid(
+        gaussian_stats(h_org, normalize=normalize),
+        gaussian_stats(h_syn, normalize=normalize),
+    )
+
+
 def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
     timings: dict = {}
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(6)
-    s_pre_init, s_pre_train, s_cluster, s_refine_init, s_refine, s_eval = (
-        int(s) for s in seeds
+    s_pre_init, s_pre_train, s_cluster, s_refine_init, s_refine, _ = stage_seeds(
+        cfg.seed
     )
 
     with _stage("propagate", timings):
@@ -285,29 +344,7 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
             condensed.a_prime = np.eye(n)
 
     with _stage("evaluate", timings):
-        ecfg = EvalConfig(
-            epochs=cfg.eval_epochs,
-            learning_rate=cfg.eval_lr,
-            weight_decay=cfg.eval_weight_decay,
-            hidden_dim=cfg.eval_hidden,
-            dropout=cfg.eval_dropout,
-            optimizer=cfg.eval_optimizer,
-            model_selection=cfg.model_selection,
-        )
-        accuracies = []
-        first_params = None
-        for r in range(cfg.eval_repeats):
-            gcn = train_eval_gcn(
-                condensed,
-                ecfg,
-                seed=s_eval + r,
-                dataset=dataset if cfg.model_selection == "best_val" else None,
-            )
-            if first_params is None:
-                first_params = gcn
-            accuracies.append(
-                evaluate_on_original(gcn, dataset, inductive=cfg.inductive)
-            )
+        first_params, accuracies = evaluate_condensed(dataset, condensed, cfg)
 
     with _stage("metrics", timings):
         h_norm = normalize_rows(H)
@@ -335,13 +372,8 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
         icad_before = _icad_or_nan(x_before)
         icad_after = _icad_or_nan(condensed.x_prime)
 
-        a_hat_org = renormalized_adjacency(dataset.graph)
-        h_org_repr = gcn_forward(first_params, a_hat_org, dataset.features)
-        a_hat_syn = renormalized_adjacency(condensed.a_prime)
-        h_syn_repr = gcn_forward(first_params, a_hat_syn, condensed.x_prime)
-        fid_value = fid(
-            gaussian_stats(h_org_repr, normalize=cfg.fid_normalize),
-            gaussian_stats(h_syn_repr, normalize=cfg.fid_normalize),
+        fid_value = representation_fid(
+            first_params, dataset, condensed, cfg.fid_normalize
         )
 
     total = sum(timings.values())

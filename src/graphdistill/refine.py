@@ -274,12 +274,18 @@ def refine(
 ) -> RefineResult:
     """Descend the joint objective over (Delta, W') for cfg.epochs steps.
 
-    Delta starts at zero, so zero epochs returns X' unchanged. The head is
-    reinitialized by the caller, not reused from pretraining. Raises
-    DivergedError on a non-finite loss.
+    Of Z and labels only the train_mask rows are read: they are sliced out
+    once, so the full-graph term forwards the head (and draws its dropout
+    masks) over the training rows alone. Delta starts at zero, so zero
+    epochs returns X' unchanged. The head is reinitialized by the caller,
+    not reused from pretraining. Raises DivergedError on a non-finite loss.
     """
     if not class_set.condensed:
         raise ValueError("class_set must carry condensed adjacencies")
+    train_idx = np.flatnonzero(np.asarray(train_mask, dtype=bool))
+    Z_train = np.asarray(Z, dtype=np.float64)[train_idx]
+    labels_train = np.asarray(labels)[train_idx]
+    all_rows = np.ones(train_idx.shape[0], dtype=bool)
     alpha = cfg.alpha_prime if cfg.alpha_prime is not None else pretrain_alpha
     params = params_init.copy()
     aug = Augmentation.zeros(*condensed.x_prime.shape)
@@ -300,9 +306,9 @@ def refine(
     losses: list[float] = []
     for epoch in range(cfg.epochs):
         loss, _, d_delta, d_w, d_b = refine_loss_and_grads(
-            Z,
-            labels,
-            train_mask,
+            Z_train,
+            labels_train,
+            all_rows,
             condensed.x_prime,
             condensed.y_prime,
             class_set.condensed,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graphdistill.cli import main
-from graphdistill.dataio import load_condensed, load_dataset
+from graphdistill.dataio import load_condensed, load_dataset, load_flat_toml
 
 FAST_FLAGS = [
     "--T", "2", "--E1", "20", "--hidden", "16", "--depth", "2",
@@ -84,30 +84,35 @@ def test_report_matches_distill_metrics(tmp_path, capsys):
 
 def test_evaluate_and_fid_on_saved_condensed(tmp_path, capsys):
     data_dir = _gen(tmp_path)
-    cond_dir = tmp_path / "cond"
-    rc = main(
-        ["distill", "--dataset-dir", str(data_dir), "--out-dir", str(cond_dir)]
-        + FAST_FLAGS
-    )
-    assert rc == 0
-    capsys.readouterr()
+    for selection in ("final", "best_val"):
+        flags = FAST_FLAGS + ["--model_selection", selection]
+        cond_dir = tmp_path / f"cond-{selection}"
+        rc = main(
+            ["distill", "--dataset-dir", str(data_dir), "--out-dir", str(cond_dir)]
+            + flags
+        )
+        assert rc == 0
+        capsys.readouterr()
+        stored = load_flat_toml(cond_dir / "meta.toml")
 
-    rc = main(
-        ["evaluate", "--dataset-dir", str(data_dir), "--condensed-dir", str(cond_dir)]
-        + FAST_FLAGS
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "accuracy_mean = " in out and "accuracy_std = " in out
+        rc = main(
+            ["evaluate", "--dataset-dir", str(data_dir), "--condensed-dir", str(cond_dir)]
+            + flags
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "accuracy_mean = " in out and "accuracy_std = " in out
+        assert f"accuracy_mean = {stored['accuracy_mean']:.6g}\n" in out
 
-    rc = main(
-        ["fid", "--dataset-dir", str(data_dir), "--condensed-dir", str(cond_dir)]
-        + FAST_FLAGS
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert out.startswith("fid = ")
-    assert float(out.split(" = ")[1]) >= 0.0
+        rc = main(
+            ["fid", "--dataset-dir", str(data_dir), "--condensed-dir", str(cond_dir)]
+            + flags
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.startswith("fid = ")
+        assert float(out.split(" = ")[1]) >= 0.0
+        assert out == f"fid = {stored['fid']:.6g}\n"
 
 
 def test_baseline_selectors(tmp_path, capsys):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import random_graph
 from graphdistill.condense import CondensedGraph
 from graphdistill.evaluate import (
     EvalConfig,
+    GCNParams,
     _class_quotas,
+    _gcn_backward,
+    _gcn_forward_cache,
     coreset_herding,
     coreset_kcenter,
     coreset_random,
@@ -15,7 +19,7 @@ from graphdistill.evaluate import (
     train_eval_gcn,
 )
 from graphdistill.graph import Dataset, SparseGraph
-from graphdistill.model import softmax_predict
+from graphdistill.model import AdamState, softmax_predict
 
 
 def _toy_dataset(rng, per_class=10, sep=6.0, name="toy"):
@@ -159,6 +163,54 @@ def test_best_val_selection_requires_dataset():
     dataset = _toy_dataset(rng)
     params = train_eval_gcn(condensed, cfg, seed=0, dataset=dataset)
     assert params.w1.shape == (3, 8)
+
+
+def _best_val_reference(condensed, cfg, seed, dataset):
+    """best_val selection scored with a full-graph gcn_forward every epoch."""
+    rng = np.random.default_rng(seed)
+    n, d = condensed.x_prime.shape
+    params = init_gcn(rng, d, cfg.hidden_dim, condensed.num_classes, cfg.dropout)
+    a_hat = renormalized_adjacency(condensed.a_prime)
+    a_hat_org = renormalized_adjacency(dataset.graph)
+    tensors = [params.w1, params.b1, params.w2, params.b2]
+    adam = AdamState([t.shape for t in tensors])
+    best, best_val = None, -1.0
+    for _ in range(cfg.epochs):
+        logits, cache = _gcn_forward_cache(params, a_hat, condensed.x_prime, True, rng)
+        dlogits = (softmax_predict(logits) - condensed.y_prime) / n
+        grads = list(_gcn_backward(params, a_hat, cache, dlogits))
+        grads[0] += cfg.weight_decay * params.w1
+        grads[2] += cfg.weight_decay * params.w2
+        adam.step(tensors, grads, cfg.learning_rate)
+        pred = np.argmax(gcn_forward(params, a_hat_org, dataset.features), axis=1)
+        acc = float(np.mean(pred[dataset.val_mask] == dataset.labels[dataset.val_mask]))
+        if acc > best_val:
+            best_val = acc
+            best = GCNParams(*(t.copy() for t in tensors), params.dropout_rate)
+    return best
+
+
+def test_best_val_matches_full_graph_scoring():
+    for seed in range(3):
+        rng = np.random.default_rng(40 + seed)
+        N, d, K, n = 90, 5, 3, 9
+        labels = rng.integers(0, K, size=N)
+        feats = rng.standard_normal((N, d)) + 1.5 * np.eye(K, d)[labels]
+        tokens = rng.choice(["train", "val", "test"], size=N, p=[0.4, 0.3, 0.3])
+        dataset = Dataset(
+            random_graph(rng, N, 0.04), feats, labels,
+            tokens == "train", tokens == "val", tokens == "test", K,
+        )
+        y = np.eye(K)[np.arange(n) % K]
+        m = np.abs(rng.standard_normal((n, n)))
+        condensed = CondensedGraph(
+            y @ np.eye(K, d) + 0.5 * rng.standard_normal((n, d)), 0.5 * (m + m.T), y
+        )
+        cfg = EvalConfig(epochs=40, hidden_dim=8, dropout=0.5, model_selection="best_val")
+        got = train_eval_gcn(condensed, cfg, seed=seed, dataset=dataset)
+        want = _best_val_reference(condensed, cfg, seed, dataset)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_inductive_equals_transductive_without_test_edges():

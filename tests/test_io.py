@@ -152,6 +152,46 @@ def test_malformed_features_and_labels(tmp_path):
         load_dataset(tmp_path / "d")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("nan,1.0,2.0,3.0", "non-finite value"),
+        ("1.0,-inf,2.0,3.0", "non-finite value"),
+        ("", "expected 4 values"),
+        ("1.0,2.0,3.0", "expected 4 values"),
+        ("1.0,2.0,x,3.0", "unparseable float"),
+    ],
+)
+def test_bad_feature_line_is_named(tmp_path, line, message):
+    save_dataset(_dataset(), tmp_path / "d")
+    feats = tmp_path / "d" / "features.csv"
+    lines = feats.read_text().splitlines()
+    lines[4] = line
+    feats.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match=rf"features\.csv:5: {message}"):
+        load_dataset(tmp_path / "d")
+
+
+def test_features_row_count_checked(tmp_path):
+    save_dataset(_dataset(), tmp_path / "d")
+    feats = tmp_path / "d" / "features.csv"
+    lines = feats.read_text().splitlines()
+    feats.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"features\.csv:17: expected 18 rows"):
+        load_dataset(tmp_path / "d")
+
+
+def test_feature_roundtrip_bitwise_on_extreme_values(tmp_path):
+    ds = _dataset()
+    rng = np.random.default_rng(3)
+    ds.features = rng.standard_normal(ds.features.shape) * 10.0 ** rng.integers(
+        -300, 300, size=ds.features.shape
+    )
+    ds.features[0, :2] = [1.0 / 3.0, -2.2250738585072014e-308]
+    save_dataset(ds, tmp_path / "d")
+    assert np.array_equal(load_dataset(tmp_path / "d").features, ds.features)
+
+
 def test_unknown_mask_token(tmp_path):
     ds = _dataset()
     save_dataset(ds, tmp_path / "d")

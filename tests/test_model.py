@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graphdistill.model import (
+    AdamState,
     DivergedError,
     TrainConfig,
     backward,
@@ -200,4 +201,50 @@ def test_adam_path_runs_and_is_deterministic():
     b, _ = train_classifier(z, labels, np.ones(25, bool), params, cfg)
     assert losses[-1] < losses[0]
     for wa, wb in zip(a.weights, b.weights):
+        assert np.array_equal(wa, wb)
+
+
+def test_adam_step_matches_reference_formula():
+    rng = np.random.default_rng(10)
+    shapes = [(7, 5), (5,), (5, 3), (3,)]
+    tensors = [rng.standard_normal(s) for s in shapes]
+    ref = [t.copy() for t in tensors]
+    ref_m = [np.zeros(s) for s in shapes]
+    ref_v = [np.zeros(s) for s in shapes]
+    adam = AdamState(shapes)
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    for t in range(1, 8):
+        grads = [rng.standard_normal(s) for s in shapes]
+        adam.step(tensors, grads, lr)
+        for i, g in enumerate(grads):
+            ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
+            ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * g**2
+            mhat = ref_m[i] / (1.0 - b1**t)
+            vhat = ref_v[i] / (1.0 - b2**t)
+            ref[i] -= lr * mhat / (np.sqrt(vhat) + eps)
+        for i in range(len(shapes)):
+            assert np.array_equal(tensors[i], ref[i])
+            assert np.array_equal(adam.m[i], ref_m[i])
+            assert np.array_equal(adam.v[i], ref_v[i])
+
+
+@pytest.mark.parametrize("batch_size", [0, 6])
+def test_training_reads_only_masked_rows(batch_size):
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((30, 4))
+    labels = rng.integers(0, 3, size=30)
+    mask = rng.random(30) < 0.5
+    z[~mask] = np.nan
+    params = init_classifier(rng, 4, 3, depth=3, hidden_dim=6, dropout_rate=0.3)
+    cfg = TrainConfig(
+        epochs=10, learning_rate=0.05, seed=2, batch_size=batch_size, optimizer="adam"
+    )
+    trained, losses = train_classifier(z, labels, mask, params, cfg)
+    assert np.all(np.isfinite(losses))
+    for w, b in zip(trained.weights, trained.biases):
+        assert np.all(np.isfinite(w)) and np.all(np.isfinite(b))
+    # the rows outside the mask do not change the result
+    z_clean = np.where(mask[:, None], z, 0.0)
+    again, _ = train_classifier(z_clean, labels, mask, params, cfg)
+    for wa, wb in zip(trained.weights, again.weights):
         assert np.array_equal(wa, wb)

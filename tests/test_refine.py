@@ -316,3 +316,15 @@ def test_alpha_prime_override_changes_result():
     a = refine(Z, labels, mask, condensed, class_set, params, base, 0.8)
     b = refine(Z, labels, mask, condensed, class_set, params, override, 0.8)
     assert not np.array_equal(a.x_refined, b.x_refined)
+
+
+def test_refine_reads_only_training_rows():
+    Z, labels, mask, condensed, class_set, params = _refine_inputs(14)
+    params.dropout_rate = 0.3
+    Z[~mask] = np.nan
+    cfg = RefineConfig(epochs=10, seed=1)
+    out = refine(Z, labels, mask, condensed, class_set, params, cfg, 0.8)
+    assert np.all(np.isfinite(out.loss_trace))
+    assert np.all(np.isfinite(out.x_refined))
+    for w, b in zip(out.params.weights, out.params.biases):
+        assert np.all(np.isfinite(w)) and np.all(np.isfinite(b))
