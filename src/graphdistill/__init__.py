@@ -4,9 +4,7 @@ from .cluster import Clustering, cluster_means, kmeans, minibatch_kmeans, sketch
 from .condense import (
     CondensedGraph,
     condense_adjacency,
-    condense_attributes,
     condense_labels,
-    condensed_representations,
     sparsify_condensed,
 )
 from .dataio import load_condensed, load_dataset, save_condensed, save_dataset
@@ -61,12 +59,10 @@ from .pipeline import (
 )
 from .propagate import PropagationConfig, SolverError, gls_propagate, gls_solve_exact
 from .refine import (
-    Augmentation,
     ClassGraphSet,
     RefineConfig,
     RefineResult,
     class_edge_weights,
-    class_representations,
     condense_class_graphs,
     consistency_loss,
     cosine_degrees,

@@ -1,8 +1,8 @@
 """Command-line entry points.
 
-Subcommands: gen-sbm, distill, evaluate, fid, baseline, report. Every
-pipeline hyperparameter is exposed as a flag named exactly like its config
-key; flag values override the config file, which overrides defaults.
+Subcommands: gen-sbm, distill (alias report), evaluate, fid, baseline.
+Every pipeline hyperparameter is exposed as a flag named exactly like its
+config key; flag values override the config file, which overrides defaults.
 """
 
 from __future__ import annotations
@@ -97,14 +97,6 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    dataset = load_dataset(args.dataset_dir)
-    result = run_pipeline(dataset, cfg)
-    sys.stdout.write(report_block(result))
-    return 0
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     dataset = load_dataset(args.dataset_dir)
@@ -175,16 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.set_defaults(func=_cmd_gen_sbm)
 
-    distill = sub.add_parser("distill", help="run the pipeline and save the condensed graph")
+    distill = sub.add_parser(
+        "distill",
+        aliases=["report"],
+        help="run the pipeline, print the metric block and save the condensed graph",
+    )
     distill.add_argument("--dataset-dir", type=Path, required=True)
     distill.add_argument("--out-dir", type=Path, default=None)
     _add_config_flags(distill)
     distill.set_defaults(func=_cmd_distill)
-
-    report = sub.add_parser("report", help="run the pipeline and print the metric block")
-    report.add_argument("--dataset-dir", type=Path, required=True)
-    _add_config_flags(report)
-    report.set_defaults(func=_cmd_report)
 
     evaluate = sub.add_parser("evaluate", help="train the evaluation GCN on a saved condensed graph")
     evaluate.add_argument("--dataset-dir", type=Path, required=True)

@@ -48,11 +48,6 @@ class CondensedGraph:
             raise ValueError("Y' must be one-hot")
 
 
-def condense_attributes(clustering: Clustering, Z: np.ndarray) -> np.ndarray:
-    """X' rows are the per-cluster means of the smoothed attributes."""
-    return cluster_means(clustering, Z)
-
-
 def condense_adjacency(clustering: Clustering, a_norm: SparseGraph) -> np.ndarray:
     """A' = C_norm^T A_norm C_norm, densified and numerically symmetrized."""
     _, c_norm = sketching_matrices(clustering)
@@ -75,11 +70,6 @@ def condense_labels(
     out = np.zeros((clustering.num_clusters, num_classes))
     out[np.arange(clustering.num_clusters), picks] = 1.0
     return out
-
-
-def condensed_representations(clustering: Clustering, H: np.ndarray) -> np.ndarray:
-    """H' rows are per-cluster means of the full-graph representations."""
-    return cluster_means(clustering, H)
 
 
 def sparsify_condensed(a_prime: np.ndarray, epsilon: float = 0.0) -> np.ndarray:

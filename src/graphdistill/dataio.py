@@ -217,6 +217,11 @@ def save_condensed(condensed: CondensedGraph, directory: Path | str) -> None:
 
 
 def load_condensed(directory: Path | str) -> CondensedGraph:
+    """Read a condensed directory; refuses anything CondensedGraph.validate would.
+
+    A label outside [0, K) or a non-finite matrix entry names its file and
+    line; a triple that fails validation names the directory.
+    """
     directory = Path(directory)
     meta = load_flat_toml(directory / "meta.toml")
     x_prime = _read_csv_matrix(directory / "x_prime.csv")
@@ -228,10 +233,18 @@ def load_condensed(directory: Path | str) -> CondensedGraph:
             labels.append(int(raw.strip()))
         except ValueError:
             raise DatasetFormatError(label_path, lineno, "labels must be integers")
-    K = int(meta.get("K", max(labels) + 1))
+    K = int(meta.get("K", max(labels, default=-1) + 1))
+    for lineno, y in enumerate(labels, start=1):
+        if not 0 <= y < K:
+            raise DatasetFormatError(label_path, lineno, f"label outside [0, {K})")
     y_prime = np.zeros((len(labels), K))
     y_prime[np.arange(len(labels)), labels] = 1.0
-    return CondensedGraph(x_prime, a_prime, y_prime, meta)
+    condensed = CondensedGraph(x_prime, a_prime, y_prime, meta)
+    try:
+        condensed.validate()
+    except ValueError as exc:
+        raise DatasetFormatError(directory, 0, str(exc)) from exc
+    return condensed
 
 
 def _read_csv_matrix(path: Path) -> np.ndarray:
@@ -249,7 +262,11 @@ def _read_csv_matrix(path: Path) -> np.ndarray:
             raise DatasetFormatError(path, lineno, "unparseable float")
     if not rows:
         raise DatasetFormatError(path, 0, "empty matrix")
-    return np.array(rows, dtype=np.float64)
+    matrix = np.array(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise DatasetFormatError(path, int(bad[0]) + 1, "non-finite value")
+    return matrix
 
 
 def config_hash(entries: dict) -> str:

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from .condense import CondensedGraph
 from .graph import Dataset, SparseGraph
-from .model import AdamState, DivergedError, softmax_predict
+from .model import DivergedError, init_classifier, optimizer_step, softmax_predict
 
 
 @dataclass
@@ -43,8 +43,6 @@ class EvalReport:
     test_accuracy: float
     per_seed: list[float]
     std: float
-    fid_value: float | None = None
-    runtime_seconds: float = 0.0
 
 
 def renormalized_adjacency(A: np.ndarray | SparseGraph) -> np.ndarray | sp.csr_matrix:
@@ -65,17 +63,12 @@ def renormalized_adjacency(A: np.ndarray | SparseGraph) -> np.ndarray | sp.csr_m
 def init_gcn(
     rng: np.random.Generator, in_dim: int, hidden_dim: int, num_classes: int, dropout: float
 ) -> GCNParams:
-    def glorot(fan_in: int, fan_out: int) -> np.ndarray:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-    return GCNParams(
-        glorot(in_dim, hidden_dim),
-        np.zeros(hidden_dim),
-        glorot(hidden_dim, num_classes),
-        np.zeros(num_classes),
-        dropout,
+    """The two GCN layers drawn as a depth-2 classification head: Glorot weights, zero biases."""
+    head = init_classifier(
+        rng, in_dim, num_classes, depth=2, hidden_dim=hidden_dim, dropout_rate=dropout
     )
+    (w1, w2), (b1, b2) = head.weights, head.biases
+    return GCNParams(w1, b1, w2, b2, dropout)
 
 
 def gcn_forward(
@@ -123,8 +116,10 @@ def _validation_scorer(dataset: Dataset):
     rows that the validation rows of Â touch, once, then per call the
     first layer on those rows and the second layer on the validation rows.
     """
-    a_hat = renormalized_adjacency(dataset.graph)
     val_idx = np.flatnonzero(dataset.val_mask)
+    if val_idx.size == 0:
+        raise ValueError("best_val selection needs a nonempty validation set")
+    a_hat = renormalized_adjacency(dataset.graph)
     a_val = a_hat[val_idx]
     touched = np.flatnonzero(a_val.getnnz(axis=0))
     a_val = a_val[:, touched]
@@ -154,6 +149,7 @@ def train_eval_gcn(
     graph is computed once, and each epoch runs the first layer on the rows
     that the validation rows of Â touch and the second layer on the
     validation rows, which gives the same logits as a full-graph forward.
+    "best_val" raises ValueError on an empty validation set.
     """
     rng = np.random.default_rng(seed)
     n, d = condensed.x_prime.shape
@@ -163,12 +159,7 @@ def train_eval_gcn(
     labels = condensed.labels
     onehot = condensed.y_prime
 
-    tensors = lambda p: [p.w1, p.b1, p.w2, p.b2]
-    adam: AdamState | None = None
-    if cfg.optimizer == "adam":
-        adam = AdamState([t.shape for t in tensors(params)])
-    elif cfg.optimizer != "gd":
-        raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
+    step = optimizer_step(cfg.optimizer, [params.w1, params.b1, params.w2, params.b2])
 
     best_params, best_val = None, -1.0
     want_val = cfg.model_selection == "best_val" and dataset is not None
@@ -191,12 +182,7 @@ def train_eval_gcn(
         d_w1, d_b1, d_w2, d_b2 = _gcn_backward(params, a_hat, cache, dlogits)
         d_w1 += cfg.weight_decay * params.w1
         d_w2 += cfg.weight_decay * params.w2
-        grads = [d_w1, d_b1, d_w2, d_b2]
-        if adam is not None:
-            adam.step(tensors(params), grads, cfg.learning_rate)
-        else:
-            for t, g in zip(tensors(params), grads):
-                t -= cfg.learning_rate * g
+        step([d_w1, d_b1, d_w2, d_b2], cfg.learning_rate)
         if want_val:
             acc = val_scorer(params)
             if acc > best_val:

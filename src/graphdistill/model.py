@@ -9,6 +9,7 @@ gradient can be checked against finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -199,6 +200,28 @@ class AdamState:
             x -= num
 
 
+def optimizer_step(
+    name: str, tensors: list[np.ndarray]
+) -> Callable[[list[np.ndarray], float], None]:
+    """The update named by an optimizer setting, as step(grads, lr).
+
+    Each call moves the given tensors in place, one gradient per tensor in
+    the same order. "adam" keeps its moments in an AdamState; "gd" is plain
+    gradient descent.
+    """
+    if name == "adam":
+        state = AdamState([t.shape for t in tensors])
+        return lambda grads, lr: state.step(tensors, grads, lr)
+    if name == "gd":
+
+        def descend(grads: list[np.ndarray], lr: float) -> None:
+            for t, g in zip(tensors, grads):
+                t -= lr * g
+
+        return descend
+    raise ValueError(f"unknown optimizer {name!r}")
+
+
 def train_classifier(
     Z: np.ndarray,
     labels: np.ndarray,
@@ -234,12 +257,7 @@ def train_classifier(
     onehot_train = np.zeros((n_train, num_classes))
     onehot_train[np.arange(n_train), labels_train] = 1.0
 
-    adam: AdamState | None = None
-    if cfg.optimizer == "adam":
-        shapes = [w.shape for w in params.weights] + [b.shape for b in params.biases]
-        adam = AdamState(shapes)
-    elif cfg.optimizer != "gd":
-        raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
+    step = optimizer_step(cfg.optimizer, params.weights + params.biases)
 
     losses: list[float] = []
     for epoch in range(cfg.epochs):
@@ -263,11 +281,5 @@ def train_classifier(
         _, d_w, d_b = backward(params, cache, dlogits)
         for i in range(params.depth):
             d_w[i] = d_w[i] + cfg.weight_decay * params.weights[i]
-
-        if adam is not None:
-            adam.step(params.weights + params.biases, d_w + d_b, cfg.learning_rate)
-        else:
-            for i in range(params.depth):
-                params.weights[i] -= cfg.learning_rate * d_w[i]
-                params.biases[i] -= cfg.learning_rate * d_b[i]
+        step(d_w + d_b, cfg.learning_rate)
     return params, losses

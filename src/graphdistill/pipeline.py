@@ -20,7 +20,6 @@ from .cluster import Clustering, cluster_means, kmeans, minibatch_kmeans
 from .condense import (
     CondensedGraph,
     condense_adjacency,
-    condense_attributes,
     condense_labels,
     sparsify_condensed,
 )
@@ -142,9 +141,6 @@ class PipelineResult:
     eval_report: EvalReport
     metrics: dict
     stage_seconds: dict
-
-    def as_pair(self) -> tuple[CondensedGraph, EvalReport]:
-        return self.condensed, self.eval_report
 
 
 @contextmanager
@@ -279,7 +275,7 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
             )
 
     with _stage("condense", timings):
-        x_prime = condense_attributes(clustering, Z)
+        x_prime = cluster_means(clustering, Z)
         a_prime = sparsify_condensed(
             condense_adjacency(clustering, a_norm), cfg.sparsify_epsilon
         )
@@ -372,14 +368,13 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
         icad_before = _icad_or_nan(x_before)
         icad_after = _icad_or_nan(condensed.x_prime)
 
-        fid_value = representation_fid(
+        fid_score = representation_fid(
             first_params, dataset, condensed, cfg.fid_normalize
         )
 
-    total = sum(timings.values())
     acc = np.array(accuracies)
     metrics = {
-        "fid": fid_value,
+        "fid": fid_score,
         "theorem1_bound": t1,
         "theorem2_lhs": t2_lhs,
         "theorem2_rhs": t2_rhs,
@@ -394,8 +389,6 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
         test_accuracy=float(acc.mean()),
         per_seed=[float(a) for a in accuracies],
         std=float(acc.std()),
-        fid_value=fid_value,
-        runtime_seconds=total,
     )
     return PipelineResult(condensed, report, metrics, timings)
 

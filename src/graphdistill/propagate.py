@@ -36,25 +36,21 @@ class PropagationConfig:
 def gls_propagate(
     a_norm: SparseGraph, X: np.ndarray, cfg: PropagationConfig
 ) -> np.ndarray:
-    """Z = sum_{t=0..T} (1-alpha) * alpha^t * A_norm^t X, accumulated in t order."""
+    """Z = sum_{t=0..T} (1-alpha) * alpha^t * A_norm^t X, summed by propagate_dense."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != a_norm.num_nodes:
         raise GraphError("X row count must match the graph")
-    A = a_norm.to_scipy()
-    term = X
-    acc = (1.0 - cfg.alpha) * X
-    coef = 1.0 - cfg.alpha
-    for _ in range(cfg.T):
-        term = A @ term
-        coef *= cfg.alpha
-        acc = acc + coef * term
-    return acc
+    return propagate_dense(a_norm.to_scipy(), X, cfg.alpha, cfg.T)
 
 
 def propagate_dense(
-    A: np.ndarray, X: np.ndarray, alpha: float, T: int
+    A: np.ndarray | sp.spmatrix, X: np.ndarray, alpha: float, T: int
 ) -> np.ndarray:
-    """Dense-adjacency version of gls_propagate; also its adjoint for symmetric A."""
+    """sum_{t=0..T} (1-alpha) * alpha^t * A^t X, accumulated in t order.
+
+    A may be a dense array or a scipy sparse matrix. For symmetric A the
+    operator is its own adjoint, which the refinement gradients rely on.
+    """
     term = np.asarray(X, dtype=np.float64)
     acc = (1.0 - alpha) * term
     coef = 1.0 - alpha

@@ -51,17 +51,6 @@ class RefineConfig:
 
 
 @dataclass
-class Augmentation:
-    """Learned additive correction to the condensed attributes."""
-
-    delta: np.ndarray
-
-    @classmethod
-    def zeros(cls, n: int, d: int) -> "Augmentation":
-        return cls(np.zeros((n, d)))
-
-
-@dataclass
 class ClassGraphSet:
     """One sampled full-size adjacency per class, plus condensed versions."""
 
@@ -77,7 +66,7 @@ class ClassGraphSet:
 class RefineResult:
     x_refined: np.ndarray
     params: ClassifierParams
-    augmentation: Augmentation
+    delta: np.ndarray  # learned additive correction to X'
     loss_trace: list[float]
 
 
@@ -158,24 +147,6 @@ def condense_class_graphs(
         m = (c_norm.T @ (a @ c_norm)).toarray()
         condensed.append(0.5 * (m + m.T))
     return ClassGraphSet(class_set.sampled, condensed)
-
-
-def class_representations(
-    cond_adjs: list[np.ndarray],
-    x_prime: np.ndarray,
-    augmentation: Augmentation,
-    beta: float,
-    params: ClassifierParams,
-    alpha: float,
-    T_prime: int,
-) -> list[np.ndarray]:
-    """Per-class logits: smooth X' + beta * Delta over A'(y), then apply the head."""
-    base = x_prime + beta * augmentation.delta
-    out = []
-    for adj in cond_adjs:
-        smoothed = propagate_dense(adj, base, alpha, T_prime)
-        out.append(model.forward(params, smoothed))
-    return out
 
 
 def syn_loss(view_probs: list[np.ndarray], y_prime: np.ndarray) -> float:
@@ -288,20 +259,12 @@ def refine(
     all_rows = np.ones(train_idx.shape[0], dtype=bool)
     alpha = cfg.alpha_prime if cfg.alpha_prime is not None else pretrain_alpha
     params = params_init.copy()
-    aug = Augmentation.zeros(*condensed.x_prime.shape)
+    delta = np.zeros(condensed.x_prime.shape)
     rng = np.random.default_rng(cfg.seed)
     train_mode = params.dropout_rate > 0.0
-
-    adam: model.AdamState | None = None
-    if cfg.optimizer == "adam":
-        shapes = (
-            [aug.delta.shape]
-            + [w.shape for w in params.weights]
-            + [b.shape for b in params.biases]
-        )
-        adam = model.AdamState(shapes)
-    elif cfg.optimizer != "gd":
-        raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
+    step = model.optimizer_step(
+        cfg.optimizer, [delta] + params.weights + params.biases
+    )
 
     losses: list[float] = []
     for epoch in range(cfg.epochs):
@@ -312,7 +275,7 @@ def refine(
             condensed.x_prime,
             condensed.y_prime,
             class_set.condensed,
-            aug.delta,
+            delta,
             params,
             cfg.beta,
             alpha,
@@ -325,16 +288,6 @@ def refine(
         if not np.isfinite(loss):
             raise DivergedError(epoch)
         losses.append(loss)
-        if adam is not None:
-            adam.step(
-                [aug.delta] + params.weights + params.biases,
-                [d_delta] + d_w + d_b,
-                cfg.learning_rate,
-            )
-        else:
-            aug.delta -= cfg.learning_rate * d_delta
-            for i in range(params.depth):
-                params.weights[i] -= cfg.learning_rate * d_w[i]
-                params.biases[i] -= cfg.learning_rate * d_b[i]
-    x_refined = condensed.x_prime + cfg.beta * aug.delta
-    return RefineResult(x_refined, params, aug, losses)
+        step([d_delta] + d_w + d_b, cfg.learning_rate)
+    x_refined = condensed.x_prime + cfg.beta * delta
+    return RefineResult(x_refined, params, delta, losses)

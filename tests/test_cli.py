@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from graphdistill.cli import main
-from graphdistill.dataio import load_condensed, load_dataset, load_flat_toml
+from graphdistill.condense import CondensedGraph
+from graphdistill.dataio import load_condensed, load_dataset, load_flat_toml, save_condensed
 
 FAST_FLAGS = [
     "--T", "2", "--E1", "20", "--hidden", "16", "--depth", "2",
@@ -177,6 +178,24 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "stage 'cluster' failed" in err
+
+
+def test_evaluate_refuses_malformed_condensed_dir(tmp_path, capsys):
+    data_dir = _gen(tmp_path)
+    cond_dir = tmp_path / "cond"
+    y = np.eye(3)[[0, 1, 2, 0, 1, 2]]
+    save_condensed(CondensedGraph(np.zeros((6, 8)), np.eye(6), y), cond_dir)
+    labels = (cond_dir / "y_prime.txt").read_text().splitlines()
+    labels[3] = "7"
+    (cond_dir / "y_prime.txt").write_text("\n".join(labels) + "\n")
+    capsys.readouterr()
+    rc = main([
+        "evaluate", "--dataset-dir", str(data_dir), "--condensed-dir", str(cond_dir)
+    ] + FAST_FLAGS)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "y_prime.txt:4: label outside [0, 3)" in err
 
 
 def test_invalid_bool_flag_rejected(tmp_path):

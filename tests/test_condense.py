@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
-from graphdistill.cluster import Clustering, kmeans
+from graphdistill.cluster import Clustering, cluster_means, kmeans
 from graphdistill.condense import (
     CondensedGraph,
     condense_adjacency,
-    condense_attributes,
     condense_labels,
     sparsify_condensed,
 )
@@ -28,7 +27,7 @@ def test_identity_clustering_is_passthrough():
     a_norm = normalized_adjacency(graph)
     Z = rng.standard_normal((12, 5))
     clustering = _identity_clustering(12)
-    assert np.array_equal(condense_attributes(clustering, Z), Z)
+    assert np.array_equal(cluster_means(clustering, Z), Z)
     a_prime = condense_adjacency(clustering, a_norm)
     assert np.max(np.abs(a_prime - a_norm.to_scipy().toarray())) <= 1e-12
 
@@ -78,14 +77,14 @@ def test_within_cluster_row_order_is_irrelevant():
     rng = np.random.default_rng(3)
     Z = rng.standard_normal((24, 4))
     clustering = kmeans(Z, 4, seed=2)
-    base = condense_attributes(clustering, Z)
+    base = cluster_means(clustering, Z)
     # swap two rows that share a cluster and swap their assignments back
     members = np.flatnonzero(clustering.assignment == clustering.assignment[0])
     assert members.shape[0] >= 2, "need a cluster with two members"
     i, j = members[0], members[1]
     Z2 = Z.copy()
     Z2[[i, j]] = Z2[[j, i]]
-    assert np.max(np.abs(condense_attributes(clustering, Z2) - base)) <= 1e-12
+    assert np.max(np.abs(cluster_means(clustering, Z2) - base)) <= 1e-12
 
 
 def test_sparsify_thresholding():

@@ -165,6 +165,16 @@ def test_best_val_selection_requires_dataset():
     assert params.w1.shape == (3, 8)
 
 
+def test_best_val_refuses_empty_validation_set():
+    rng = np.random.default_rng(8)
+    condensed = _separable_condensed(rng)
+    dataset = _toy_dataset(rng)
+    dataset.val_mask = np.zeros_like(dataset.val_mask)
+    cfg = EvalConfig(epochs=5, hidden_dim=8, model_selection="best_val")
+    with pytest.raises(ValueError, match="nonempty validation set"):
+        train_eval_gcn(condensed, cfg, seed=0, dataset=dataset)
+
+
 def _best_val_reference(condensed, cfg, seed, dataset):
     """best_val selection scored with a full-graph gcn_forward every epoch."""
     rng = np.random.default_rng(seed)

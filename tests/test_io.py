@@ -226,6 +226,48 @@ def test_ragged_matrix_rejected(tmp_path):
         load_condensed(tmp_path / "c")
 
 
+def _save_condensed_k3(directory):
+    rng = np.random.default_rng(4)
+    m = np.abs(rng.standard_normal((4, 4)))
+    y = np.eye(3)[[0, 1, 2, 1]]
+    save_condensed(CondensedGraph(rng.standard_normal((4, 2)), 0.5 * (m + m.T), y), directory)
+
+
+def _replace_line(path, index, text):
+    lines = path.read_text().splitlines()
+    lines[index] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "fname, text, match",
+    [
+        ("y_prime.txt", "-1", r"y_prime\.txt:3: label outside \[0, 3\)"),
+        ("y_prime.txt", "7", r"y_prime\.txt:3: label outside \[0, 3\)"),
+        ("x_prime.csv", "nan,1.0", r"x_prime\.csv:3: non-finite value"),
+        ("a_prime.csv", "0.5,inf,0.5,0.5", r"a_prime\.csv:3: non-finite value"),
+    ],
+)
+def test_load_condensed_names_bad_line(tmp_path, fname, text, match):
+    _save_condensed_k3(tmp_path / "c")
+    _replace_line(tmp_path / "c" / fname, 2, text)
+    with pytest.raises(DatasetFormatError, match=match):
+        load_condensed(tmp_path / "c")
+
+
+def test_load_condensed_validates_triple(tmp_path):
+    directory = tmp_path / "c"
+    _save_condensed_k3(directory)
+    a_path = directory / "a_prime.csv"
+    row = a_path.read_text().splitlines()[0].split(",")
+    row[1] = repr(float(row[1]) + 1e-9)
+    _replace_line(a_path, 0, ",".join(row))
+    with pytest.raises(DatasetFormatError, match="symmetric") as info:
+        load_condensed(directory)
+    assert str(info.value).startswith(f"{directory}:")
+    assert "\n" not in str(info.value)
+
+
 def test_config_hash_order_independent_and_sensitive():
     a = {"alpha": 0.8, "T": 5, "flag": True}
     b = {"flag": True, "T": 5, "alpha": 0.8}

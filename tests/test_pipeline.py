@@ -201,6 +201,13 @@ def test_pipeline_stage_failure_is_named():
         run_pipeline(ds, _fast_config(num_synthetic=200))
 
 
+def test_best_val_without_validation_rows_fails_in_evaluate():
+    ds = _small_sbm(0)
+    ds.val_mask = np.zeros_like(ds.val_mask)
+    with pytest.raises(PipelineError, match="stage 'evaluate' failed: .*validation set"):
+        run_pipeline(ds, _fast_config(model_selection="best_val"))
+
+
 def test_report_block_format():
     ds = _small_sbm(0)
     result = run_pipeline(ds, _fast_config())

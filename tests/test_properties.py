@@ -1,0 +1,83 @@
+"""Property tests for the propagation kernel and the cluster means.
+
+Examples are derandomized and their number fixed, so every run checks the
+same cases.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from conftest import random_graph
+from graphdistill.cluster import Clustering, cluster_means
+from graphdistill.graph import normalized_adjacency
+from graphdistill.propagate import PropagationConfig, gls_propagate, propagate_dense
+
+PROPERTY = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+
+values = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def propagation_cases(draw):
+    """A normalized adjacency, two feature matrices and a config."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 4))
+    graph = random_graph(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        n,
+        draw(st.floats(0.0, 1.0)),
+        min_degree=draw(st.integers(0, 1)),
+    )
+    X = draw(arrays(np.float64, (n, d), elements=values))
+    Y = draw(arrays(np.float64, (n, d), elements=values))
+    cfg = PropagationConfig(draw(st.floats(0.0, 0.99)), draw(st.integers(0, 8)))
+    return normalized_adjacency(graph), X, Y, cfg
+
+
+@PROPERTY
+@given(propagation_cases(), values, values)
+def test_gls_propagate_is_linear(case, a, b):
+    a_norm, X, Y, cfg = case
+    combined = gls_propagate(a_norm, a * X + b * Y, cfg)
+    separate = a * gls_propagate(a_norm, X, cfg) + b * gls_propagate(a_norm, Y, cfg)
+    scale = 1.0 + (abs(a) + abs(b)) * 10.0
+    assert np.max(np.abs(combined - separate), initial=0.0) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(propagation_cases())
+def test_gls_propagate_matches_dense_kernel(case):
+    a_norm, X, _, cfg = case
+    sparse_z = gls_propagate(a_norm, X, cfg)
+    dense_z = propagate_dense(a_norm.to_scipy().toarray(), X, cfg.alpha, cfg.T)
+    assert np.max(np.abs(sparse_z - dense_z), initial=0.0) <= 1e-12
+
+
+@st.composite
+def partitions(draw):
+    """Points with a hard assignment in which every cluster is nonempty."""
+    k = draw(st.integers(1, 5))
+    extra = draw(st.lists(st.integers(0, k - 1), max_size=20))
+    order = draw(st.permutations(list(range(k)) + extra))
+    assignment = np.array(order, dtype=np.int64)
+    H = draw(arrays(np.float64, (assignment.shape[0], draw(st.integers(1, 4))), elements=values))
+    clustering = Clustering(
+        assignment=assignment,
+        num_clusters=k,
+        sizes=np.bincount(assignment, minlength=k),
+        centroids=np.zeros((k, H.shape[1])),
+    )
+    return clustering, H
+
+
+@PROPERTY
+@given(partitions())
+def test_cluster_means_rows_are_member_means(case):
+    clustering, H = case
+    means = cluster_means(clustering, H)
+    assert means.shape == (clustering.num_clusters, H.shape[1])
+    for c in range(clustering.num_clusters):
+        members = H[clustering.assignment == c]
+        assert np.max(np.abs(means[c] - members.mean(axis=0))) <= 1e-12 * 10.0

@@ -8,11 +8,9 @@ from graphdistill.model import init_classifier
 from graphdistill.propagate import propagate_dense
 from graphdistill.refine import (
     COS_FLOOR,
-    Augmentation,
     ClassGraphSet,
     RefineConfig,
     class_edge_weights,
-    class_representations,
     condense_class_graphs,
     consistency_loss,
     cosine_degrees,
@@ -169,17 +167,22 @@ def test_condense_class_graphs_dense_oracle():
 
 
 def test_class_representations_zero_depth_propagation():
+    # with T' = 0 every class view is the head on (1 - alpha) * (X' + beta * Delta)
     rng = np.random.default_rng(6)
     params = init_classifier(rng, 3, 2, depth=1)
     x = rng.standard_normal((4, 3))
     delta = rng.standard_normal((4, 3))
+    y_prime = np.eye(2)[[0, 1, 1, 0]]
     adjs = [rng.random((4, 4)) for _ in range(2)]
-    out = class_representations(
-        adjs, x, Augmentation(delta), beta=0.2, params=params, alpha=0.7, T_prime=0
+    Z = rng.standard_normal((5, 3))
+    labels = np.array([0, 1, 0, 1, 1])
+    _, (_, l_syn, l_cst), _, _, _ = refine_loss_and_grads(
+        Z, labels, np.ones(5, dtype=bool), x, y_prime, adjs, delta, params,
+        beta=0.2, alpha=0.7, T_prime=0, gamma=1.0, lambda_=1.0,
     )
-    expected = model.forward(params, 0.3 * (x + 0.2 * delta))
-    for view in out:
-        assert np.max(np.abs(view - expected)) <= 1e-12
+    view = model.softmax_predict(model.forward(params, 0.3 * (x + 0.2 * delta)))
+    assert abs(l_syn - syn_loss([view, view], y_prime)) <= 1e-12
+    assert l_cst <= 1e-24
 
 
 def test_syn_loss_frozen_values():
@@ -279,7 +282,7 @@ def test_refine_without_objective_terms_keeps_attributes():
     cfg = RefineConfig(gamma=0.0, lambda_=0.0, epochs=5, optimizer="gd")
     out = refine(Z, labels, mask, condensed, class_set, params, cfg, 0.8)
     assert np.array_equal(out.x_refined, condensed.x_prime)
-    assert np.array_equal(out.augmentation.delta, np.zeros_like(condensed.x_prime))
+    assert np.array_equal(out.delta, np.zeros_like(condensed.x_prime))
 
 
 def test_refine_is_deterministic_and_loss_decreases():
