@@ -14,7 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import load_condensed, load_dataset, load_flat_toml, save_condensed, save_dataset
+from .dataio import (
+    DatasetFormatError,
+    load_condensed,
+    load_dataset,
+    load_flat_toml,
+    save_condensed,
+    save_dataset,
+)
 from .evaluate import coreset_herding, coreset_kcenter, coreset_random
 from .graph import homophily_ratio, normalized_adjacency
 from .pipeline import (
@@ -97,10 +104,25 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _load_pair(args: argparse.Namespace):
+    """The config, dataset and condensed graph; refuses a graph whose K or d differs."""
     cfg = _build_config(args)
     dataset = load_dataset(args.dataset_dir)
     condensed = load_condensed(args.condensed_dir)
+    for name, condensed_value, dataset_value in (
+        ("K", condensed.num_classes, dataset.num_classes),
+        ("d", condensed.x_prime.shape[1], dataset.num_features),
+    ):
+        if condensed_value != dataset_value:
+            raise DatasetFormatError(
+                args.condensed_dir, 0,
+                f"condensed {name} = {condensed_value} but the dataset's {name} = {dataset_value}",
+            )
+    return cfg, dataset, condensed
+
+
+def _cmd_evaluate(args: argparse.Namespace) -> int:
+    cfg, dataset, condensed = _load_pair(args)
     _, accs = evaluate_condensed(dataset, condensed, cfg)
     accs = np.array(accs)
     print(f"accuracy_mean = {accs.mean():.6g}")
@@ -109,9 +131,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fid(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    dataset = load_dataset(args.dataset_dir)
-    condensed = load_condensed(args.condensed_dir)
+    cfg, dataset, condensed = _load_pair(args)
     params = evaluation_gcn(dataset, condensed, cfg)
     value = representation_fid(params, dataset, condensed, cfg.fid_normalize)
     print(f"fid = {value:.6g}")

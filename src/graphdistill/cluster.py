@@ -105,19 +105,19 @@ def _lloyd(
     n = centers.shape[0]
     assignment = _assign(points, centers)
     assignment = _repair_empty(points, centers, assignment)
-    trace = [_wcss_raw(points, _means(points, assignment, n), assignment)]
+    means = _means(points, assignment, n)
+    trace = [_wcss_raw(points, means, assignment)]
     # trace[0] is the post-seeding objective; one entry follows per iteration
     for _ in range(max_iter):
-        new_centers = _means(points, assignment, n)
-        shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
-        centers = new_centers
+        shift = float(np.max(np.linalg.norm(means - centers, axis=1)))
+        centers = means
         assignment = _assign(points, centers)
         assignment = _repair_empty(points, centers, assignment)
-        trace.append(_wcss_raw(points, _means(points, assignment, n), assignment))
+        means = _means(points, assignment, n)
+        trace.append(_wcss_raw(points, means, assignment))
         if shift < tol:
             break
-    centers = _means(points, assignment, n)
-    return assignment, centers, trace
+    return assignment, means, trace
 
 
 def kmeans(
@@ -182,13 +182,15 @@ def minibatch_kmeans(
         batch = rng.choice(N, size=batch_size, replace=False)
         pts = points[batch]
         labels = _assign(pts, centers)
-        shift = 0.0
-        for c in np.unique(labels):
-            members = pts[labels == c]
-            counts[c] += members.shape[0]
-            step = (members.sum(axis=0) - members.shape[0] * centers[c]) / counts[c]
-            centers[c] = centers[c] + step
-            shift = max(shift, float(np.linalg.norm(step)))
+        # one grouped update of every cluster the batch hit
+        hits = np.bincount(labels, minlength=n)
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, pts)
+        hit = np.flatnonzero(hits)
+        counts[hit] += hits[hit]
+        step = (sums[hit] - hits[hit, None] * centers[hit]) / counts[hit, None]
+        centers[hit] = centers[hit] + step
+        shift = float(np.max(np.linalg.norm(step, axis=1)))
         calm = calm + 1 if shift < tol else 0
         if calm >= 3:
             break

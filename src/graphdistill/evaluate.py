@@ -91,16 +91,17 @@ def _gcn_forward_cache(params, a_hat, X, train_mode, rng):
         keep = rng.random(h1.shape) >= params.dropout_rate
         scale = keep / (1.0 - params.dropout_rate)
         h1 = h1 * scale
-    ah = a_hat @ h1
-    logits = ah @ params.w2 + params.b2
-    return logits, (ax, mask, scale, ah)
+    # Â multiplies the K-wide product, not the hidden_dim-wide h1
+    logits = a_hat @ (h1 @ params.w2) + params.b2
+    return logits, (ax, mask, scale, h1)
 
 
 def _gcn_backward(params, a_hat, cache, dlogits):
-    ax, mask, scale, ah = cache
-    d_w2 = ah.T @ dlogits
+    ax, mask, scale, h1 = cache
+    g = a_hat.T @ dlogits
+    d_w2 = h1.T @ g
     d_b2 = dlogits.sum(axis=0)
-    dh1 = a_hat.T @ (dlogits @ params.w2.T)
+    dh1 = g @ params.w2.T
     if scale is not None:
         dh1 = dh1 * scale
     ds1 = dh1 * mask
@@ -129,7 +130,7 @@ def _validation_scorer(dataset: Dataset):
     def score(params: GCNParams) -> float:
         s1 = ax @ params.w1 + params.b1
         h1 = s1 * (s1 > 0.0)
-        logits = (a_val @ h1) @ params.w2 + params.b2
+        logits = a_val @ (h1 @ params.w2) + params.b2
         return float(np.mean(np.argmax(logits, axis=1) == val_labels))
 
     return score

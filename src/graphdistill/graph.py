@@ -131,6 +131,8 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise GraphError("features must be (N, d)")
+        if not np.all(np.isfinite(self.features)):
+            raise GraphError("features must be finite")
         if self.labels.shape != (n,):
             raise GraphError("labels must be (N,)")
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:

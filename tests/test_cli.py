@@ -198,6 +198,32 @@ def test_evaluate_refuses_malformed_condensed_dir(tmp_path, capsys):
     assert err.startswith("error: ") and "y_prime.txt:4: label outside [0, 3)" in err
 
 
+@pytest.mark.parametrize(
+    "width,classes,message",
+    [
+        (8, 2, "condensed K = 2 but the dataset's K = 3"),
+        (3, 3, "condensed d = 3 but the dataset's d = 8"),
+    ],
+    ids=["class-count", "feature-width"],
+)
+def test_evaluate_and_fid_refuse_condensed_graph_of_other_shape(
+    tmp_path, capsys, width, classes, message
+):
+    data_dir = _gen(tmp_path)  # K = 3, d = 8
+    cond_dir = tmp_path / "cond"
+    y = np.eye(classes)[np.arange(6) % classes]
+    save_condensed(CondensedGraph(np.zeros((6, width)), np.eye(6), y), cond_dir)
+    for command in ("evaluate", "fid"):
+        capsys.readouterr()
+        rc = main([
+            command, "--dataset-dir", str(data_dir), "--condensed-dir", str(cond_dir)
+        ] + FAST_FLAGS)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {cond_dir}") and message in err
+
+
 def test_invalid_bool_flag_rejected(tmp_path):
     data_dir = _gen(tmp_path)
     with pytest.raises(SystemExit):

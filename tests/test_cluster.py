@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 from graphdistill.cluster import (
+    _assign,
+    _kmeans_pp,
+    _means,
+    _repair_empty,
+    _wcss_raw,
     cluster_means,
     kmeans,
     minibatch_kmeans,
@@ -167,3 +172,94 @@ def test_cluster_means_agree_with_sparse_product():
     res = kmeans(pts, 3, seed=2)
     _, C_norm = sketching_matrices(res)
     assert np.max(np.abs(cluster_means(res, H) - C_norm.T @ H)) <= 1e-12
+
+
+# Reference k-means loops: the mini-batch step updates one hit cluster at a
+# time, and Lloyd computes each assignment's means twice. The library must
+# reproduce them bit for bit.
+
+
+def _minibatch_reference(points, n, seed, max_iter, batch_size, tol):
+    N = points.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = _kmeans_pp(points, n, rng)
+    counts = np.zeros(n)
+    calm = 0
+    for _ in range(max_iter):
+        batch = rng.choice(N, size=batch_size, replace=False)
+        pts = points[batch]
+        labels = _assign(pts, centers)
+        shift = 0.0
+        for c in np.unique(labels):
+            members = pts[labels == c]
+            counts[c] += members.shape[0]
+            step = (members.sum(axis=0) - members.shape[0] * centers[c]) / counts[c]
+            centers[c] = centers[c] + step
+            shift = max(shift, float(np.linalg.norm(step)))
+        calm = calm + 1 if shift < tol else 0
+        if calm >= 3:
+            break
+    assignment = _repair_empty(points, centers, _assign(points, centers))
+    centers = _means(points, assignment, n)
+    return assignment, centers, [_wcss_raw(points, centers, assignment)]
+
+
+def _kmeans_reference(points, n, seed, max_iter, tol, n_init):
+    def lloyd(centers):
+        assignment = _repair_empty(points, centers, _assign(points, centers))
+        trace = [_wcss_raw(points, _means(points, assignment, n), assignment)]
+        for _ in range(max_iter):
+            new_centers = _means(points, assignment, n)
+            shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
+            centers = new_centers
+            assignment = _repair_empty(points, centers, _assign(points, centers))
+            trace.append(_wcss_raw(points, _means(points, assignment, n), assignment))
+            if shift < tol:
+                break
+        return assignment, _means(points, assignment, n), trace
+
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(n_init):
+        assignment, centers, trace = lloyd(_kmeans_pp(points, n, rng))
+        if best is None or trace[-1] < best[2][-1]:
+            best = (assignment, centers, trace)
+    return best
+
+
+def _assert_bitwise(got, want):
+    assignment, centroids, trace = want
+    assert np.array_equal(got.assignment, assignment)
+    assert np.array_equal(got.centroids, centroids)
+    assert got.wcss_trace == trace
+
+
+@pytest.mark.parametrize("N,dim,n,batch_size", [(400, 3, 6, 60), (600, 4, 250, 100)])
+def test_minibatch_matches_per_cluster_reference_bitwise(N, dim, n, batch_size):
+    # with n > batch_size most clusters receive no point in a given batch
+    rng = np.random.default_rng(N + n)
+    pts = rng.standard_normal((N, dim)) + rng.integers(0, 5, size=(N, 1))
+    for seed in range(3):
+        got = minibatch_kmeans(pts, n, seed=seed, max_iter=40, batch_size=batch_size)
+        want = _minibatch_reference(pts, n, seed, 40, batch_size, 1e-4)
+        _assert_bitwise(got, want)
+
+
+def test_minibatch_matches_reference_through_early_stop():
+    # a converging run exercises the calm counter on both sides
+    rng = np.random.default_rng(12)
+    pts, _ = _blobs(rng, [[0.0, 0.0], [9.0, 0.0], [0.0, 9.0]], per=80, noise=0.01)
+    for seed in range(3):
+        got = minibatch_kmeans(pts, 3, seed=seed, max_iter=300, batch_size=50, tol=1e-3)
+        want = _minibatch_reference(pts, 3, seed, 300, 50, 1e-3)
+        _assert_bitwise(got, want)
+
+
+def test_kmeans_matches_two_means_reference_bitwise():
+    rng = np.random.default_rng(13)
+    pts = rng.standard_normal((300, 4)) + rng.integers(0, 4, size=(300, 1))
+    # max_iter = 2 stops before convergence, where the last two means differ
+    for seed, max_iter in itertools.product(range(3), (2, 50)):
+        got = kmeans(pts, 9, seed=seed, max_iter=max_iter, tol=1e-4, n_init=3)
+        want = _kmeans_reference(pts, 9, seed, max_iter, 1e-4, 3)
+        _assert_bitwise(got, want)

@@ -86,6 +86,35 @@ def test_gcn_forward_shapes_and_eval_determinism():
     assert np.array_equal(out1, out2)  # eval mode has no dropout noise
 
 
+def _gcn_reference(params, a_hat, x, keep_scale=None):
+    """Both GCN layers with Â applied to the hidden_dim-wide side: (Â X) W1, then (Â h1) W2."""
+    s1 = (a_hat @ x) @ params.w1 + params.b1
+    h1 = s1 * (s1 > 0.0)
+    if keep_scale is not None:
+        h1 = h1 * keep_scale
+    return (a_hat @ h1) @ params.w2 + params.b2
+
+
+def test_gcn_forward_matches_layer_by_layer_products():
+    rng = np.random.default_rng(21)
+    graph = random_graph(rng, 40, 0.1)
+    x = rng.standard_normal((40, 6))
+    params = init_gcn(rng, 6, 32, 4, dropout=0.5)
+    params.b1 = 0.1 * rng.standard_normal(params.b1.shape)
+    params.b2 = 0.1 * rng.standard_normal(params.b2.shape)
+    dense = renormalized_adjacency(graph.to_scipy().toarray())
+    sparse = renormalized_adjacency(graph)
+    for a_hat in (dense, sparse):
+        want = _gcn_reference(params, a_hat, x)
+        got = gcn_forward(params, a_hat, x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # training mode draws one dropout mask over h1 from the given stream
+        got = gcn_forward(params, a_hat, x, train_mode=True, rng=np.random.default_rng(5))
+        keep = np.random.default_rng(5).random((40, 32)) >= params.dropout_rate
+        want = _gcn_reference(params, a_hat, x, keep / (1.0 - params.dropout_rate))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_gcn_gradients_match_finite_differences():
     from graphdistill.evaluate import _gcn_backward, _gcn_forward_cache
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graphdistill.graph import (
+    Dataset,
     GraphError,
     SparseGraph,
     gls_objective,
@@ -36,6 +37,17 @@ def test_from_edges_rejects_bad_input():
         SparseGraph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(GraphError):
         SparseGraph.from_edges(3, [(0, 1)], weights=[0.0])
+
+
+def test_dataset_refuses_non_finite_features():
+    graph = SparseGraph.from_edges(3, [(0, 1), (1, 2)])
+    masks = np.eye(3, dtype=bool)
+    for bad in (np.nan, np.inf, -np.inf):
+        feats = np.ones((3, 2))
+        feats[1, 0] = bad
+        with pytest.raises(GraphError, match="features must be finite"):
+            Dataset(graph, feats, np.array([0, 1, 0]), *masks, 2)
+    Dataset(graph, np.ones((3, 2)), np.array([0, 1, 0]), *masks, 2)
 
 
 def test_degrees_and_edge_listing():
