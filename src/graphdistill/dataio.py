@@ -30,6 +30,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_matrix(path: Path, matrix: np.ndarray) -> None:
+    """One line per row, each value at 17 significant digits, comma-separated.
+
+    Each row is one % operation on a template, which writes the bytes _fmt
+    writes value by value.
+    """
+    row_fmt = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(row_fmt % tuple(row) for row in matrix)
+
+
 # meta files stay within a flat key = value TOML subset
 
 
@@ -80,9 +91,7 @@ def save_dataset(dataset: Dataset, directory: Path | str) -> None:
     with open(directory / "edges.tsv", "w") as fh:
         for i, j in edges:
             fh.write(f"{i}\t{j}\n")
-    with open(directory / "features.csv", "w") as fh:
-        for row in dataset.features:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_matrix(directory / "features.csv", dataset.features)
     with open(directory / "labels.txt", "w") as fh:
         for y in dataset.labels:
             fh.write(f"{y}\n")
@@ -200,12 +209,8 @@ def _read_features(path: Path, N: int, d: int) -> np.ndarray:
 def save_condensed(condensed: CondensedGraph, directory: Path | str) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "x_prime.csv", "w") as fh:
-        for row in condensed.x_prime:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    with open(directory / "a_prime.csv", "w") as fh:
-        for row in condensed.a_prime:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_matrix(directory / "x_prime.csv", condensed.x_prime)
+    _write_matrix(directory / "a_prime.csv", condensed.a_prime)
     with open(directory / "y_prime.txt", "w") as fh:
         for y in condensed.labels:
             fh.write(f"{y}\n")

@@ -15,7 +15,14 @@ import scipy.sparse as sp
 
 from .condense import CondensedGraph
 from .graph import Dataset, SparseGraph
-from .model import DivergedError, init_classifier, optimizer_step, softmax_predict
+from .model import (
+    DivergedError,
+    init_classifier,
+    optimizer_step,
+    relu_gate,
+    relu_layers,
+    softmax_predict,
+)
 
 
 @dataclass
@@ -78,44 +85,47 @@ def gcn_forward(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    return _gcn_forward_cache(params, a_hat, X, train_mode, rng)[0]
-
-
-def _gcn_forward_cache(params, a_hat, X, train_mode, rng):
-    ax = a_hat @ X
-    s1 = ax @ params.w1 + params.b1
-    mask = s1 > 0.0
-    h1 = s1 * mask
-    scale = None
-    if train_mode and params.dropout_rate > 0.0:
-        keep = rng.random(h1.shape) >= params.dropout_rate
-        scale = keep / (1.0 - params.dropout_rate)
-        h1 = h1 * scale
+    """GCN logits Â relu(Â X W1 + b1) W2 + b2; eval mode runs W1 in row blocks."""
+    if train_mode:
+        return _gcn_forward_cache(params, a_hat, X, train_mode, rng)[0]
+    h1 = relu_layers(a_hat @ X, [params.w1], [params.b1])
     # Â multiplies the K-wide product, not the hidden_dim-wide h1
+    return a_hat @ (h1 @ params.w2) + params.b2
+
+
+def _gcn_forward_cache(params, a_hat, X, train_mode, rng, ax=None):
+    """Logits and the (Â X, gate, h1) cache; pass ax = Â X to reuse it."""
+    if ax is None:
+        ax = a_hat @ X
+    h1 = ax @ params.w1
+    h1 += params.b1
+    gate = relu_gate(h1, params.dropout_rate if train_mode else 0.0, rng)
+    h1 *= gate
     logits = a_hat @ (h1 @ params.w2) + params.b2
-    return logits, (ax, mask, scale, h1)
+    return logits, (ax, gate, h1)
 
 
 def _gcn_backward(params, a_hat, cache, dlogits):
-    ax, mask, scale, h1 = cache
+    ax, gate, h1 = cache
     g = a_hat.T @ dlogits
     d_w2 = h1.T @ g
     d_b2 = dlogits.sum(axis=0)
-    dh1 = g @ params.w2.T
-    if scale is not None:
-        dh1 = dh1 * scale
-    ds1 = dh1 * mask
+    ds1 = g @ params.w2.T
+    ds1 *= gate
     d_w1 = ax.T @ ds1
     d_b1 = ds1.sum(axis=0)
     return d_w1, d_b1, d_w2, d_b2
 
 
-def _validation_scorer(dataset: Dataset):
-    """Validation accuracy of GCN params on the original graph, as a function.
+def _validation_logits(dataset: Dataset):
+    """GCN logits on the validation rows of the original graph, as a function.
 
-    Only rows the validation logits depend on are computed: Â·X on the
-    rows that the validation rows of Â touch, once, then per call the
-    first layer on those rows and the second layer on the validation rows.
+    Returns (logits, labels): logits(params) gives the validation rows of a
+    full-graph forward, and labels are those rows' classes. Only rows the
+    validation logits depend on are computed: Â·X on the rows that the
+    validation rows of Â touch, once, then per call the first layer on
+    those rows, in row blocks into one buffer that every call reuses, and
+    the second layer on the validation rows.
     """
     val_idx = np.flatnonzero(dataset.val_mask)
     if val_idx.size == 0:
@@ -125,15 +135,14 @@ def _validation_scorer(dataset: Dataset):
     touched = np.flatnonzero(a_val.getnnz(axis=0))
     a_val = a_val[:, touched]
     ax = a_hat[touched] @ dataset.features
-    val_labels = dataset.labels[val_idx]
+    h1 = None
 
-    def score(params: GCNParams) -> float:
-        s1 = ax @ params.w1 + params.b1
-        h1 = s1 * (s1 > 0.0)
-        logits = a_val @ (h1 @ params.w2) + params.b2
-        return float(np.mean(np.argmax(logits, axis=1) == val_labels))
+    def logits(params: GCNParams) -> np.ndarray:
+        nonlocal h1
+        h1 = relu_layers(ax, [params.w1], [params.b1], out=h1)
+        return a_val @ (h1 @ params.w2) + params.b2
 
-    return score
+    return logits, dataset.labels[val_idx]
 
 
 def train_eval_gcn(
@@ -167,10 +176,14 @@ def train_eval_gcn(
     if cfg.model_selection == "best_val" and dataset is None:
         raise ValueError("best_val selection needs the original dataset")
     if want_val:
-        val_scorer = _validation_scorer(dataset)
+        val_logits, val_labels = _validation_logits(dataset)
 
+    # Â' and X' stay fixed during training, so Â' X' is formed once
+    ax = a_hat @ condensed.x_prime
     for epoch in range(cfg.epochs):
-        logits, cache = _gcn_forward_cache(params, a_hat, condensed.x_prime, True, rng)
+        logits, cache = _gcn_forward_cache(
+            params, a_hat, condensed.x_prime, True, rng, ax=ax
+        )
         P = softmax_predict(logits)
         picked = np.clip(P[np.arange(n), labels], 1e-12, None)
         loss = float(-np.mean(np.log(picked)))
@@ -185,7 +198,7 @@ def train_eval_gcn(
         d_w2 += cfg.weight_decay * params.w2
         step([d_w1, d_b1, d_w2, d_b2], cfg.learning_rate)
         if want_val:
-            acc = val_scorer(params)
+            acc = float(np.mean(np.argmax(val_logits(params), axis=1) == val_labels))
             if acc > best_val:
                 best_val = acc
                 best_params = GCNParams(

@@ -70,33 +70,85 @@ def init_classifier(
     return ClassifierParams(weights, biases, dropout_rate)
 
 
+# Rows per block of the row-blocked eval-mode layers. A 256 x 256 float64
+# block is 512 KiB, so one block's activations stay in L2 from one layer to
+# the next.
+ROW_BLOCK = 256
+
+
+def relu_layers(
+    h: np.ndarray,
+    weights: list[np.ndarray],
+    biases: list[np.ndarray],
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """relu(h W + b) through each (W, b) in turn, ROW_BLOCK rows at a time.
+
+    Each block of rows runs through every layer before the next block
+    starts, and its last layer is written into out (allocated when None).
+    The bytes equal those of whole-matrix products as long as a row's GEMM
+    result does not depend on how many rows the call holds. The leftover
+    rows join the last full block, so no block is smaller than ROW_BLOCK
+    unless h is: a one-row product would go through GEMV, which sums in
+    another order. The rectifier multiplies by the mask, as the training
+    path does, so a negative pre-activation gives -0.0.
+    """
+    rows = h.shape[0]
+    if out is None:
+        out = np.empty((rows, weights[-1].shape[1]))
+    starts = list(range(0, max(rows - ROW_BLOCK, 0) + 1, ROW_BLOCK))
+    for lo, hi in zip(starts, starts[1:] + [rows]):
+        x = h[lo:hi]
+        for layer, (W, b) in enumerate(zip(weights, biases)):
+            o = out[lo:hi] if layer == len(weights) - 1 else None
+            x = np.matmul(x, W, out=o)
+            x += b
+            np.multiply(x, x > 0.0, out=x)
+    return out
+
+
+def relu_gate(
+    s: np.ndarray, dropout_rate: float, rng: np.random.Generator | None
+) -> np.ndarray:
+    """The float factor a hidden layer multiplies its pre-activations s by.
+
+    It is the rectifier's mask s > 0, times the inverted-dropout scale
+    1 / (1 - p) on the units a draw of rng keeps when dropout_rate p > 0.
+    Every factor is >= 0, so one multiply by the gate gives the bytes of a
+    mask multiply followed by a scale multiply, signed zeros included. The
+    draw has the shape of s, so the random stream is that of one mask.
+    """
+    if dropout_rate > 0.0:
+        keep = rng.random(s.shape) >= dropout_rate
+        return (keep & (s > 0.0)) * (1.0 / (1.0 - dropout_rate))
+    return (s > 0.0).astype(np.float64)
+
+
 def forward_cache(
     params: ClassifierParams,
     Z: np.ndarray,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Forward pass keeping per-layer inputs and activation masks for backward."""
+    """Forward pass keeping per-layer inputs and relu_gate gates for backward.
+
+    Dropout applies in train mode only.
+    """
     h = np.asarray(Z, dtype=np.float64)
     inputs: list[np.ndarray] = []
-    act: list[tuple[np.ndarray, np.ndarray | None]] = []
-    p = params.dropout_rate
+    act: list[np.ndarray] = []
+    p = params.dropout_rate if train_mode else 0.0
+    if p > 0.0 and rng is None and params.depth > 1:
+        raise ValueError("train_mode dropout needs an rng")
     for layer, (W, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
-        s = h @ W + b
-        if layer == params.depth - 1:
-            h = s
-            break
-        mask = s > 0.0
-        h = s * mask
-        scale = None
-        if train_mode and p > 0.0:
-            if rng is None:
-                raise ValueError("train_mode dropout needs an rng")
-            keep = rng.random(h.shape) >= p
-            scale = keep / (1.0 - p)
-            h = h * scale
-        act.append((mask, scale))
+        s = h @ W
+        s += b
+        if layer < params.depth - 1:
+            gate = relu_gate(s, p, rng)
+            s *= gate
+            act.append(gate)
+        h = s
     return h, {"inputs": inputs, "act": act}
 
 
@@ -106,7 +158,13 @@ def forward(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    return forward_cache(params, Z, train_mode, rng)[0]
+    """Logits of the head; eval mode runs the hidden layers in row blocks."""
+    if train_mode:
+        return forward_cache(params, Z, train_mode, rng)[0]
+    h = np.asarray(Z, dtype=np.float64)
+    if params.depth > 1:
+        h = relu_layers(h, params.weights[:-1], params.biases[:-1])
+    return h @ params.weights[-1] + params.biases[-1]
 
 
 def backward(
@@ -122,10 +180,7 @@ def backward(
         d_biases[layer] = g.sum(axis=0)
         g = g @ params.weights[layer].T
         if layer > 0:
-            mask, scale = act[layer - 1]
-            if scale is not None:
-                g = g * scale
-            g = g * mask
+            g *= act[layer - 1]
     return g, d_weights, d_biases
 
 

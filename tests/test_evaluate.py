@@ -9,6 +9,7 @@ from graphdistill.evaluate import (
     _class_quotas,
     _gcn_backward,
     _gcn_forward_cache,
+    _validation_logits,
     coreset_herding,
     coreset_kcenter,
     coreset_random,
@@ -334,3 +335,101 @@ def test_coreset_respects_quotas_and_seed():
     assert a.meta["indices"] != c.meta["indices"]
     counts = np.bincount(a.labels, minlength=2)
     assert np.array_equal(counts, [3, 3])
+
+
+def _gcn_cache_reference(params, a_hat, x, train_mode, rng):
+    """The GCN forward with a (mask, scale) pair for its hidden layer."""
+    ax = a_hat @ x
+    s1 = ax @ params.w1 + params.b1
+    mask = s1 > 0.0
+    h1 = s1 * mask
+    scale = None
+    if train_mode and params.dropout_rate > 0.0:
+        keep = rng.random(h1.shape) >= params.dropout_rate
+        scale = keep / (1.0 - params.dropout_rate)
+        h1 = h1 * scale
+    logits = a_hat @ (h1 @ params.w2) + params.b2
+    return logits, (ax, mask, scale, h1)
+
+
+def _gcn_backward_reference(params, a_hat, cache, dlogits):
+    ax, mask, scale, h1 = cache
+    g = a_hat.T @ dlogits
+    dh1 = g @ params.w2.T
+    if scale is not None:
+        dh1 = dh1 * scale
+    ds1 = dh1 * mask
+    return ax.T @ ds1, ds1.sum(axis=0), h1.T @ g, dlogits.sum(axis=0)
+
+
+def _gcn_with_zeros(seed, N, d=32, hidden=256, K=4):
+    """GCN params and a graph whose first-layer pre-activations include +0.0.
+
+    Isolated nodes with zero features meet zero biases on every third
+    hidden unit.
+    """
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, N, 8.0 / N)
+    keep = graph.undirected_edges()
+    keep = keep[(keep % 7 != 0).all(axis=1)]
+    graph = SparseGraph.from_edges(N, keep)
+    x = rng.standard_normal((N, d))
+    x[::7] = 0.0
+    params = init_gcn(rng, d, hidden, K, dropout=0.5)
+    params.b1 = 0.1 * rng.standard_normal(hidden)
+    params.b1[::3] = 0.0
+    params.b2 = 0.1 * rng.standard_normal(K)
+    return params, graph, x
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+def test_gcn_gate_matches_mask_and_scale_reference_bitwise(train_mode):
+    params, graph, x = _gcn_with_zeros(60, 120, hidden=64)
+    a_hat = renormalized_adjacency(graph.to_scipy().toarray())
+    want, ref_cache = _gcn_cache_reference(
+        params, a_hat, x, train_mode, np.random.default_rng(2)
+    )
+    dlogits = np.random.default_rng(3).standard_normal(want.shape) / 120.0
+    want_grads = _gcn_backward_reference(params, a_hat, ref_cache, dlogits)
+    # a precomputed Â X, as train_eval_gcn passes it, changes nothing
+    for ax in (None, a_hat @ x):
+        got, cache = _gcn_forward_cache(
+            params, a_hat, x, train_mode, np.random.default_rng(2), ax=ax
+        )
+        assert got.tobytes() == want.tobytes()
+        for g, w in zip(_gcn_backward(params, a_hat, cache, dlogits), want_grads):
+            assert g.tobytes() == w.tobytes()
+
+
+def test_row_blocked_gcn_forward_matches_whole_matrix_reference_bitwise():
+    params, graph, x = _gcn_with_zeros(61, 1000)
+    dense = graph.to_scipy().toarray()
+    for a_hat in (renormalized_adjacency(graph), renormalized_adjacency(dense)):
+        want = _gcn_cache_reference(params, a_hat, x, False, None)[0]
+        assert gcn_forward(params, a_hat, x).tobytes() == want.tobytes()
+
+
+def test_validation_logits_match_whole_matrix_reference_bitwise():
+    N = 1200
+    params, graph, x = _gcn_with_zeros(62, N)
+    rng = np.random.default_rng(63)
+    tokens = rng.choice(["train", "val", "test"], size=N, p=[0.3, 0.4, 0.3])
+    dataset = Dataset(
+        graph, x, rng.integers(0, 4, size=N),
+        tokens == "train", tokens == "val", tokens == "test", 4,
+    )
+    logits, labels = _validation_logits(dataset)
+    a_hat = renormalized_adjacency(graph)
+    val_idx = np.flatnonzero(dataset.val_mask)
+    a_val = a_hat[val_idx]
+    touched = np.flatnonzero(a_val.getnnz(axis=0))
+    assert touched.size > 256
+    ax = a_hat[touched] @ x
+    assert np.array_equal(labels, dataset.labels[val_idx])
+    # later calls reuse the first call's hidden buffer
+    for scale in (1.0, -0.5, 2.0):
+        p = GCNParams(scale * params.w1, params.b1, params.w2, params.b2)
+        s1 = ax @ p.w1 + p.b1
+        h1 = s1 * (s1 > 0.0)
+        want = a_val[:, touched] @ (h1 @ p.w2) + p.b2
+        assert logits(p).tobytes() == want.tobytes()

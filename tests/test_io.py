@@ -274,3 +274,26 @@ def test_config_hash_order_independent_and_sensitive():
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash({**a, "alpha": 0.81})
     assert len(config_hash(a)) == 16
+
+
+def _per_value_rows(matrix):
+    """The writer's bytes built one format call per value."""
+    return "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in matrix)
+
+
+def test_row_template_writer_matches_per_value_format(tmp_path):
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((100, 1000)) * 10.0 ** rng.integers(-320, 300, size=(100, 1000))
+    tiny = np.finfo(np.float64).smallest_subnormal
+    big = np.finfo(np.float64).max
+    x[0, :11] = [-0.0, 0.0, tiny, -tiny, 3 * tiny, 1e-310, big, -big, 1.0 / 3.0, 1e16, 123.0]
+    a = np.abs(x[:, :100])
+    a = np.minimum(a, a.T)
+    y = np.eye(2)[np.arange(100) % 2]
+    save_condensed(CondensedGraph(x, a, y), tmp_path / "c")
+    assert (tmp_path / "c" / "x_prime.csv").read_text() == _per_value_rows(x)
+    assert (tmp_path / "c" / "a_prime.csv").read_text() == _per_value_rows(a)
+    ds = _dataset()
+    ds.features = x[: ds.num_nodes, : ds.num_features].copy()
+    save_dataset(ds, tmp_path / "d")
+    assert (tmp_path / "d" / "features.csv").read_text() == _per_value_rows(ds.features)

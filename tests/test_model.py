@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graphdistill.model import (
+    ROW_BLOCK,
     AdamState,
     DivergedError,
     TrainConfig,
@@ -10,6 +11,7 @@ from graphdistill.model import (
     forward,
     forward_cache,
     init_classifier,
+    relu_layers,
     softmax_predict,
     train_classifier,
 )
@@ -248,3 +250,93 @@ def test_training_reads_only_masked_rows(batch_size):
     again, _ = train_classifier(z_clean, labels, mask, params, cfg)
     for wa, wb in zip(trained.weights, again.weights):
         assert np.array_equal(wa, wb)
+
+
+def _forward_cache_reference(params, z, train_mode=False, rng=None):
+    """The head's forward with a (mask, scale) pair per hidden layer."""
+    h = np.asarray(z, dtype=np.float64)
+    inputs, act = [], []
+    p = params.dropout_rate
+    for layer, (W, b) in enumerate(zip(params.weights, params.biases)):
+        inputs.append(h)
+        s = h @ W + b
+        if layer == params.depth - 1:
+            h = s
+            break
+        mask = s > 0.0
+        h = s * mask
+        scale = None
+        if train_mode and p > 0.0:
+            keep = rng.random(h.shape) >= p
+            scale = keep / (1.0 - p)
+            h = h * scale
+        act.append((mask, scale))
+    return h, {"inputs": inputs, "act": act}
+
+
+def _backward_reference(params, cache, dlogits):
+    inputs, act = cache["inputs"], cache["act"]
+    d_weights = [None] * params.depth
+    d_biases = [None] * params.depth
+    g = dlogits
+    for layer in range(params.depth - 1, -1, -1):
+        d_weights[layer] = inputs[layer].T @ g
+        d_biases[layer] = g.sum(axis=0)
+        g = g @ params.weights[layer].T
+        if layer > 0:
+            mask, scale = act[layer - 1]
+            if scale is not None:
+                g = g * scale
+            g = g * mask
+    return g, d_weights, d_biases
+
+
+def _head_with_zeros(seed, rows, depth, d=32, hidden=256, k=4, dropout=0.5):
+    """A head and inputs whose pre-activations include +0.0 and negatives.
+
+    Zero input rows meet zero biases on every third unit, so those units see
+    exactly +0.0; the rest are nonzero and of both signs.
+    """
+    rng = np.random.default_rng(seed)
+    params = init_classifier(rng, d, k, depth=depth, hidden_dim=hidden, dropout_rate=dropout)
+    for b in params.biases:
+        b[:] = 0.1 * rng.standard_normal(b.shape)
+        b[::3] = 0.0
+    z = rng.standard_normal((rows, d))
+    z[::5] = 0.0
+    return params, z
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("train_mode", [False, True])
+def test_gated_layers_match_mask_and_scale_reference_bitwise(depth, train_mode):
+    params, z = _head_with_zeros(10 + depth, 300, depth, hidden=64)
+    rng_got, rng_want = np.random.default_rng(3), np.random.default_rng(3)
+    got, cache = forward_cache(params, z, train_mode, rng_got)
+    want, ref_cache = _forward_cache_reference(params, z, train_mode, rng_want)
+    assert got.tobytes() == want.tobytes()
+    for a, b in zip(cache["inputs"], ref_cache["inputs"]):
+        assert a.tobytes() == b.tobytes()
+    # the dropout draws keep their shapes and order
+    assert rng_got.random() == rng_want.random()
+    dlogits = np.random.default_rng(4).standard_normal(got.shape) / z.shape[0]
+    dz, d_w, d_b = backward(params, cache, dlogits)
+    want_dz, want_w, want_b = _backward_reference(params, ref_cache, dlogits)
+    assert dz.tobytes() == want_dz.tobytes()
+    for a, b in zip(d_w + d_b, want_w + want_b):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 1000])
+@pytest.mark.parametrize("depth", [2, 3])
+def test_row_blocked_eval_forward_matches_whole_matrix_reference_bitwise(rows, depth):
+    # relies on a row's GEMM result not depending on the call's row count
+    params, z = _head_with_zeros(20 + depth, rows, depth)
+    got = forward(params, z)
+    want = _forward_cache_reference(params, z)[0]
+    assert got.tobytes() == want.tobytes()
+    hidden = relu_layers(z, params.weights[:-1], params.biases[:-1])
+    want_hidden = _forward_cache_reference(params, z)[1]["inputs"][-1]
+    assert hidden.tobytes() == want_hidden.tobytes()
+    # a negative pre-activation leaves -0.0, as the mask multiply does
+    assert np.signbit(hidden).any()
