@@ -11,7 +11,6 @@ from .dataio import load_condensed, load_dataset, save_condensed, save_dataset
 from .evaluate import (
     EvalConfig,
     EvalReport,
-    GCNParams,
     coreset_herding,
     coreset_kcenter,
     coreset_random,
@@ -42,9 +41,9 @@ from .model import (
     ClassifierParams,
     DivergedError,
     TrainConfig,
-    cross_entropy,
     forward,
     init_classifier,
+    softmax_cross_entropy,
     softmax_predict,
     train_classifier,
 )

@@ -80,6 +80,7 @@ def _repair_empty(
 
 
 def _means(points: np.ndarray, assignment: np.ndarray, n: int) -> np.ndarray:
+    """Grouped sum-then-divide: row i is the arithmetic mean of cluster i."""
     sums = np.zeros((n, points.shape[1]))
     np.add.at(sums, assignment, points)
     sizes = np.bincount(assignment, minlength=n)
@@ -88,8 +89,7 @@ def _means(points: np.ndarray, assignment: np.ndarray, n: int) -> np.ndarray:
 
 def wcss(points: np.ndarray, clustering: Clustering) -> float:
     """Within-cluster sum of squares against per-cluster means."""
-    means = _means(points, clustering.assignment, clustering.num_clusters)
-    return float(np.sum((points - means[clustering.assignment]) ** 2))
+    return _wcss_raw(points, cluster_means(clustering, points), clustering.assignment)
 
 
 def _wcss_raw(points: np.ndarray, centers: np.ndarray, assignment: np.ndarray) -> float:
@@ -221,12 +221,5 @@ def sketching_matrices(clustering: Clustering) -> tuple[sp.csr_matrix, sp.csr_ma
 
 
 def cluster_means(clustering: Clustering, H: np.ndarray) -> np.ndarray:
-    """Apply the rescaled-membership transpose to H: row i is the mean of cluster i.
-
-    Grouped sum-then-divide, so each output row is the arithmetic mean of
-    its member rows without extra rounding.
-    """
-    H = np.asarray(H, dtype=np.float64)
-    sums = np.zeros((clustering.num_clusters, H.shape[1]))
-    np.add.at(sums, clustering.assignment, H)
-    return sums / clustering.sizes[:, None]
+    """Apply the rescaled-membership transpose to H: row i is the mean of cluster i."""
+    return _means(np.asarray(H, dtype=np.float64), clustering.assignment, clustering.num_clusters)

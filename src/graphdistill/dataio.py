@@ -30,15 +30,18 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_lines(path: Path, template: str, rows) -> None:
+    """One line per row, each one % operation on template."""
+    with open(path, "w") as fh:
+        fh.writelines(template % row for row in rows)
+
+
 def _write_matrix(path: Path, matrix: np.ndarray) -> None:
     """One line per row, each value at 17 significant digits, comma-separated.
 
-    Each row is one % operation on a template, which writes the bytes _fmt
-    writes value by value.
+    The row template writes the bytes _fmt writes value by value.
     """
-    row_fmt = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.writelines(row_fmt % tuple(row) for row in matrix)
+    _write_lines(path, ",".join(["%.17g"] * matrix.shape[1]) + "\n", map(tuple, matrix))
 
 
 # meta files stay within a flat key = value TOML subset
@@ -88,19 +91,14 @@ def save_dataset(dataset: Dataset, directory: Path | str) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     edges = dataset.graph.undirected_edges()
-    with open(directory / "edges.tsv", "w") as fh:
-        for i, j in edges:
-            fh.write(f"{i}\t{j}\n")
+    _write_lines(directory / "edges.tsv", "%d\t%d\n", map(tuple, edges.tolist()))
     _write_matrix(directory / "features.csv", dataset.features)
-    with open(directory / "labels.txt", "w") as fh:
-        for y in dataset.labels:
-            fh.write(f"{y}\n")
+    _write_lines(directory / "labels.txt", "%d\n", dataset.labels.tolist())
     tokens = np.full(dataset.num_nodes, "none", dtype=object)
     tokens[dataset.train_mask] = "train"
     tokens[dataset.val_mask] = "val"
     tokens[dataset.test_mask] = "test"
-    with open(directory / "masks.txt", "w") as fh:
-        fh.writelines(f"{t}\n" for t in tokens)
+    _write_lines(directory / "masks.txt", "%s\n", tokens)
     dump_flat_toml(
         {
             "name": dataset.name,
@@ -134,18 +132,10 @@ def load_dataset(directory: Path | str) -> Dataset:
     if len(edges) != M:
         raise DatasetFormatError(edge_path, len(edges), f"expected {M} edges")
 
-    feat_path = directory / "features.csv"
-    features = _read_features(feat_path, N, d)
+    features = _read_matrix(directory / "features.csv", (N, d))
 
     label_path = directory / "labels.txt"
-    labels = []
-    for lineno, raw in enumerate(label_path.read_text().splitlines(), start=1):
-        try:
-            labels.append(int(raw.strip()))
-        except ValueError:
-            raise DatasetFormatError(label_path, lineno, "labels must be integers")
-        if not 0 <= labels[-1] < K:
-            raise DatasetFormatError(label_path, lineno, "label outside [0, K)")
+    labels, _ = _read_labels(label_path, K)
     if len(labels) != N:
         raise DatasetFormatError(label_path, len(labels), f"expected {N} labels")
 
@@ -164,7 +154,7 @@ def load_dataset(directory: Path | str) -> Dataset:
     return Dataset(
         graph,
         features,
-        np.array(labels, dtype=np.int64),
+        labels,
         tokens == "train",
         tokens == "val",
         tokens == "test",
@@ -173,37 +163,66 @@ def load_dataset(directory: Path | str) -> Dataset:
     )
 
 
-def _read_features(path: Path, N: int, d: int) -> np.ndarray:
-    """N x d float matrix; a malformed or non-finite entry names its line."""
+def _read_matrix(path: Path, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Float matrix with one comma-separated row per line.
+
+    Given shape (rows, width), a line of another width or another row count
+    is refused; without it every line must have the first line's width. A
+    malformed or non-finite entry names its line.
+    """
     lines = path.read_text().splitlines()
-    features = None
-    if 0 < N == len(lines):
-        # loadtxt skips blank lines, so it is trusted only when it returns
-        # one row per line
+    matrix = None
+    if lines:
         try:
-            loaded = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except ValueError:
-            loaded = None
-        if loaded is not None and loaded.shape == (N, d):
-            features = loaded
-    if features is None:
-        # the line loop finds the first malformed line
+            pass
+    # loadtxt skips blank lines, so it is trusted only when it returns one
+    # row per line; otherwise the line loop finds the first malformed line
+    if (
+        matrix is None
+        or len(matrix) != len(lines)
+        or (shape is not None and matrix.shape != shape)
+    ):
+        width = None if shape is None else shape[1]
         rows = []
         for lineno, raw in enumerate(lines, start=1):
             parts = raw.split(",")
-            if len(parts) != d:
-                raise DatasetFormatError(path, lineno, f"expected {d} values")
+            width = len(parts) if width is None else width
+            if len(parts) != width:
+                message = "ragged row" if shape is None else f"expected {width} values"
+                raise DatasetFormatError(path, lineno, message)
             try:
                 rows.append([float(v) for v in parts])
             except ValueError:
                 raise DatasetFormatError(path, lineno, "unparseable float")
-        if len(rows) != N:
-            raise DatasetFormatError(path, len(rows), f"expected {N} rows")
-        features = np.array(rows, dtype=np.float64).reshape(N, d)
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+        if shape is not None and len(rows) != shape[0]:
+            raise DatasetFormatError(path, len(rows), f"expected {shape[0]} rows")
+        if not rows:
+            raise DatasetFormatError(path, 0, "empty matrix")
+        matrix = np.array(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise DatasetFormatError(path, int(bad[0]) + 1, "non-finite value")
-    return features
+    return matrix
+
+
+def _read_labels(path: Path, K: int | None) -> tuple[np.ndarray, int]:
+    """Integer class ids, one per line, and K; each id must lie in [0, K).
+
+    K None takes the largest id plus one.
+    """
+    labels = []
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        try:
+            labels.append(int(raw.strip()))
+        except ValueError:
+            raise DatasetFormatError(path, lineno, "labels must be integers")
+    K = max(labels, default=-1) + 1 if K is None else int(K)
+    for lineno, y in enumerate(labels, start=1):
+        if not 0 <= y < K:
+            raise DatasetFormatError(path, lineno, f"label outside [0, {K})")
+    return np.array(labels, dtype=np.int64), K
 
 
 def save_condensed(condensed: CondensedGraph, directory: Path | str) -> None:
@@ -211,9 +230,7 @@ def save_condensed(condensed: CondensedGraph, directory: Path | str) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     _write_matrix(directory / "x_prime.csv", condensed.x_prime)
     _write_matrix(directory / "a_prime.csv", condensed.a_prime)
-    with open(directory / "y_prime.txt", "w") as fh:
-        for y in condensed.labels:
-            fh.write(f"{y}\n")
+    _write_lines(directory / "y_prime.txt", "%d\n", condensed.labels.tolist())
     meta = dict(condensed.meta)
     meta.setdefault("n", condensed.num_nodes)
     meta.setdefault("d", condensed.x_prime.shape[1])
@@ -229,19 +246,9 @@ def load_condensed(directory: Path | str) -> CondensedGraph:
     """
     directory = Path(directory)
     meta = load_flat_toml(directory / "meta.toml")
-    x_prime = _read_csv_matrix(directory / "x_prime.csv")
-    a_prime = _read_csv_matrix(directory / "a_prime.csv")
-    label_path = directory / "y_prime.txt"
-    labels = []
-    for lineno, raw in enumerate(label_path.read_text().splitlines(), start=1):
-        try:
-            labels.append(int(raw.strip()))
-        except ValueError:
-            raise DatasetFormatError(label_path, lineno, "labels must be integers")
-    K = int(meta.get("K", max(labels, default=-1) + 1))
-    for lineno, y in enumerate(labels, start=1):
-        if not 0 <= y < K:
-            raise DatasetFormatError(label_path, lineno, f"label outside [0, {K})")
+    x_prime = _read_matrix(directory / "x_prime.csv")
+    a_prime = _read_matrix(directory / "a_prime.csv")
+    labels, K = _read_labels(directory / "y_prime.txt", meta.get("K"))
     y_prime = np.zeros((len(labels), K))
     y_prime[np.arange(len(labels)), labels] = 1.0
     condensed = CondensedGraph(x_prime, a_prime, y_prime, meta)
@@ -250,28 +257,6 @@ def load_condensed(directory: Path | str) -> CondensedGraph:
     except ValueError as exc:
         raise DatasetFormatError(directory, 0, str(exc)) from exc
     return condensed
-
-
-def _read_csv_matrix(path: Path) -> np.ndarray:
-    rows = []
-    width = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        parts = raw.split(",")
-        if width is None:
-            width = len(parts)
-        elif len(parts) != width:
-            raise DatasetFormatError(path, lineno, "ragged row")
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError:
-            raise DatasetFormatError(path, lineno, "unparseable float")
-    if not rows:
-        raise DatasetFormatError(path, 0, "empty matrix")
-    matrix = np.array(rows, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if bad.size:
-        raise DatasetFormatError(path, int(bad[0]) + 1, "non-finite value")
-    return matrix
 
 
 def config_hash(entries: dict) -> str:

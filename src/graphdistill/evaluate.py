@@ -16,22 +16,15 @@ import scipy.sparse as sp
 from .condense import CondensedGraph
 from .graph import Dataset, SparseGraph
 from .model import (
+    ClassifierParams,
     DivergedError,
+    _l2_penalty,
     init_classifier,
     optimizer_step,
     relu_gate,
     relu_layers,
-    softmax_predict,
+    softmax_cross_entropy,
 )
-
-
-@dataclass
-class GCNParams:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    dropout_rate: float = 0.5
 
 
 @dataclass
@@ -42,7 +35,13 @@ class EvalConfig:
     hidden_dim: int = 256
     dropout: float = 0.5
     optimizer: str = "adam"
-    model_selection: str = "final"  # or "best_val" when a dataset is supplied
+    model_selection: str = "final"  # or "best_val", which needs the dataset
+
+    def __post_init__(self) -> None:
+        if self.model_selection not in ("final", "best_val"):
+            raise ValueError(
+                f"model_selection must be 'final' or 'best_val', not {self.model_selection!r}"
+            )
 
 
 @dataclass
@@ -67,50 +66,44 @@ def renormalized_adjacency(A: np.ndarray | SparseGraph) -> np.ndarray | sp.csr_m
     return mat * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def init_gcn(
-    rng: np.random.Generator, in_dim: int, hidden_dim: int, num_classes: int, dropout: float
-) -> GCNParams:
-    """The two GCN layers drawn as a depth-2 classification head: Glorot weights, zero biases."""
-    head = init_classifier(
-        rng, in_dim, num_classes, depth=2, hidden_dim=hidden_dim, dropout_rate=dropout
-    )
-    (w1, w2), (b1, b2) = head.weights, head.biases
-    return GCNParams(w1, b1, w2, b2, dropout)
-
-
 def gcn_forward(
-    params: GCNParams,
+    params: ClassifierParams,
     a_hat: np.ndarray | sp.csr_matrix,
     X: np.ndarray,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """GCN logits Â relu(Â X W1 + b1) W2 + b2; eval mode runs W1 in row blocks."""
+    """GCN logits Â relu(Â X W1 + b1) W2 + b2 of a depth-2 head's (W, b).
+
+    Eval mode runs W1 in row blocks.
+    """
     if train_mode:
         return _gcn_forward_cache(params, a_hat, X, train_mode, rng)[0]
-    h1 = relu_layers(a_hat @ X, [params.w1], [params.b1])
+    h1 = relu_layers(a_hat @ X, params.weights[:1], params.biases[:1])
     # Â multiplies the K-wide product, not the hidden_dim-wide h1
-    return a_hat @ (h1 @ params.w2) + params.b2
+    return a_hat @ (h1 @ params.weights[1]) + params.biases[1]
 
 
 def _gcn_forward_cache(params, a_hat, X, train_mode, rng, ax=None):
     """Logits and the (Â X, gate, h1) cache; pass ax = Â X to reuse it."""
+    (w1, w2), (b1, b2) = params.weights, params.biases
     if ax is None:
         ax = a_hat @ X
-    h1 = ax @ params.w1
-    h1 += params.b1
+    h1 = ax @ w1
+    h1 += b1
     gate = relu_gate(h1, params.dropout_rate if train_mode else 0.0, rng)
     h1 *= gate
-    logits = a_hat @ (h1 @ params.w2) + params.b2
+    logits = a_hat @ (h1 @ w2) + b2
     return logits, (ax, gate, h1)
 
 
 def _gcn_backward(params, a_hat, cache, dlogits):
+    """(dW1, db1, dW2, db2) of the GCN logits' gradient dlogits."""
     ax, gate, h1 = cache
     g = a_hat.T @ dlogits
     d_w2 = h1.T @ g
     d_b2 = dlogits.sum(axis=0)
-    ds1 = g @ params.w2.T
+    ds1 = g @ params.weights[1].T
     ds1 *= gate
     d_w1 = ax.T @ ds1
     d_b1 = ds1.sum(axis=0)
@@ -137,10 +130,10 @@ def _validation_logits(dataset: Dataset):
     ax = a_hat[touched] @ dataset.features
     h1 = None
 
-    def logits(params: GCNParams) -> np.ndarray:
+    def logits(params: ClassifierParams) -> np.ndarray:
         nonlocal h1
-        h1 = relu_layers(ax, [params.w1], [params.b1], out=h1)
-        return a_val @ (h1 @ params.w2) + params.b2
+        h1 = relu_layers(ax, params.weights[:1], params.biases[:1], out=h1)
+        return a_val @ (h1 @ params.weights[1]) + params.biases[1]
 
     return logits, dataset.labels[val_idx]
 
@@ -150,32 +143,31 @@ def train_eval_gcn(
     cfg: EvalConfig,
     seed: int,
     dataset: Dataset | None = None,
-) -> GCNParams:
+) -> ClassifierParams:
     """Train a GCN on the condensed triple; every synthetic node is labeled.
 
-    model_selection "best_val" tracks validation accuracy on the original
-    graph and keeps the best epoch; "final" returns the last epoch. The
-    validation score reads only the validation rows: Â·X of the original
-    graph is computed once, and each epoch runs the first layer on the rows
-    that the validation rows of Â touch and the second layer on the
-    validation rows, which gives the same logits as a full-graph forward.
-    "best_val" raises ValueError on an empty validation set.
+    The GCN's two layers are a depth-2 head's (W, b). model_selection
+    "best_val" tracks validation accuracy on the original dataset, which it
+    then needs, and keeps the best epoch; "final" returns the last epoch.
+    The validation score reads only the validation rows: Â·X of the
+    original graph is computed once, and each epoch runs the first layer on
+    the rows that the validation rows of Â touch and the second layer on
+    the validation rows, which gives the same logits as a full-graph
+    forward. "best_val" raises ValueError on an empty validation set.
     """
     rng = np.random.default_rng(seed)
-    n, d = condensed.x_prime.shape
-    K = condensed.num_classes
-    params = init_gcn(rng, d, cfg.hidden_dim, K, cfg.dropout)
+    params = init_classifier(
+        rng, condensed.x_prime.shape[1], condensed.num_classes, depth=2,
+        hidden_dim=cfg.hidden_dim, dropout_rate=cfg.dropout,
+    )
     a_hat = renormalized_adjacency(condensed.a_prime)
     labels = condensed.labels
-    onehot = condensed.y_prime
-
-    step = optimizer_step(cfg.optimizer, [params.w1, params.b1, params.w2, params.b2])
+    step = optimizer_step(cfg.optimizer, params.weights + params.biases)
 
     best_params, best_val = None, -1.0
-    want_val = cfg.model_selection == "best_val" and dataset is not None
-    if cfg.model_selection == "best_val" and dataset is None:
-        raise ValueError("best_val selection needs the original dataset")
-    if want_val:
+    if cfg.model_selection == "best_val":
+        if dataset is None:
+            raise ValueError("best_val selection needs the original dataset")
         val_logits, val_labels = _validation_logits(dataset)
 
     # Â' and X' stay fixed during training, so Â' X' is formed once
@@ -184,34 +176,22 @@ def train_eval_gcn(
         logits, cache = _gcn_forward_cache(
             params, a_hat, condensed.x_prime, True, rng, ax=ax
         )
-        P = softmax_predict(logits)
-        picked = np.clip(P[np.arange(n), labels], 1e-12, None)
-        loss = float(-np.mean(np.log(picked)))
-        loss += 0.5 * cfg.weight_decay * (
-            float(np.sum(params.w1**2)) + float(np.sum(params.w2**2))
-        )
-        if not np.isfinite(loss):
+        _, loss, dlogits = softmax_cross_entropy(logits, labels)
+        if not np.isfinite(loss + _l2_penalty(params, cfg.weight_decay)):
             raise DivergedError(epoch)
-        dlogits = (P - onehot) / n
         d_w1, d_b1, d_w2, d_b2 = _gcn_backward(params, a_hat, cache, dlogits)
-        d_w1 += cfg.weight_decay * params.w1
-        d_w2 += cfg.weight_decay * params.w2
-        step([d_w1, d_b1, d_w2, d_b2], cfg.learning_rate)
-        if want_val:
+        d_w1 += cfg.weight_decay * params.weights[0]
+        d_w2 += cfg.weight_decay * params.weights[1]
+        step([d_w1, d_w2, d_b1, d_b2], cfg.learning_rate)
+        if cfg.model_selection == "best_val":
             acc = float(np.mean(np.argmax(val_logits(params), axis=1) == val_labels))
             if acc > best_val:
-                best_val = acc
-                best_params = GCNParams(
-                    params.w1.copy(), params.b1.copy(),
-                    params.w2.copy(), params.b2.copy(), params.dropout_rate,
-                )
-    if want_val and best_params is not None:
-        return best_params
-    return params
+                best_val, best_params = acc, params.copy()
+    return params if best_params is None else best_params
 
 
 def evaluate_on_original(
-    params: GCNParams, dataset: Dataset, inductive: bool = False
+    params: ClassifierParams, dataset: Dataset, inductive: bool = False
 ) -> float:
     """Test accuracy of a trained GCN on the original graph.
 
@@ -262,10 +242,21 @@ def _class_quotas(pool_labels: np.ndarray, num_classes: int, n: int) -> np.ndarr
     return quotas
 
 
-def _coreset_from_indices(
-    dataset: Dataset, Z: np.ndarray, selected: np.ndarray, method: str
-) -> CondensedGraph:
-    selected = np.sort(selected)
+def _per_class_coreset(dataset: Dataset, Z: np.ndarray, n: int, method: str, choose):
+    """Fill the proportional class quotas from the training pool.
+
+    choose(members, quota) returns the quota node ids it picks among the
+    member ids of one class; classes are visited in index order. The
+    condensed graph holds the picked rows of Z in id order, with the
+    subgraph they induce and their one-hot labels.
+    """
+    # selection draws on labels, so the pool is the training set
+    pool = np.flatnonzero(dataset.train_mask)
+    pool_labels = dataset.labels[pool]
+    quotas = _class_quotas(pool_labels, dataset.num_classes, n)
+    selected = np.sort(np.concatenate([
+        choose(pool[pool_labels == c], quotas[c]) for c in range(dataset.num_classes)
+    ]))
     sub = dataset.graph.to_scipy()[selected][:, selected].toarray()
     onehot = np.zeros((selected.shape[0], dataset.num_classes))
     onehot[np.arange(selected.shape[0]), dataset.labels[selected]] = 1.0
@@ -277,23 +268,15 @@ def _coreset_from_indices(
     )
 
 
-def _pool(dataset: Dataset) -> np.ndarray:
-    # selection draws on labels, so the pool is the training set
-    return np.flatnonzero(dataset.train_mask)
-
-
 def coreset_random(
     dataset: Dataset, Z: np.ndarray, n: int, seed: int = 0
 ) -> CondensedGraph:
     """Uniform per-class selection filling the proportional quotas."""
     rng = np.random.default_rng(seed)
-    pool = _pool(dataset)
-    quotas = _class_quotas(dataset.labels[pool], dataset.num_classes, n)
-    picks = []
-    for c in range(dataset.num_classes):
-        members = pool[dataset.labels[pool] == c]
-        picks.append(rng.choice(members, size=quotas[c], replace=False))
-    return _coreset_from_indices(dataset, Z, np.concatenate(picks), "random")
+    return _per_class_coreset(
+        dataset, Z, n, "random",
+        lambda members, quota: rng.choice(members, size=quota, replace=False),
+    )
 
 
 def coreset_kcenter(
@@ -305,40 +288,35 @@ def coreset_kcenter(
     pick maximizes the distance to the selected set. Ties take the lowest
     index.
     """
-    pool = _pool(dataset)
-    quotas = _class_quotas(dataset.labels[pool], dataset.num_classes, n)
-    picks = []
-    for c in range(dataset.num_classes):
-        members = pool[dataset.labels[pool] == c]
+
+    def farthest_points(members: np.ndarray, quota: int) -> np.ndarray:
         pts = Z[members]
         mean = pts.mean(axis=0)
         chosen = [int(np.argmax(np.sum((pts - mean) ** 2, axis=1)))]
         min_d = np.sum((pts - pts[chosen[0]]) ** 2, axis=1)
         min_d[chosen[0]] = -np.inf  # never re-pick a selected point
-        while len(chosen) < quotas[c]:
+        while len(chosen) < quota:
             nxt = int(np.argmax(min_d))
             chosen.append(nxt)
             min_d = np.minimum(min_d, np.sum((pts - pts[nxt]) ** 2, axis=1))
             min_d[nxt] = -np.inf
-        picks.append(members[chosen])
-    return _coreset_from_indices(dataset, Z, np.concatenate(picks), "kcenter")
+        return members[chosen]
+
+    return _per_class_coreset(dataset, Z, n, "kcenter", farthest_points)
 
 
 def coreset_herding(
     dataset: Dataset, Z: np.ndarray, n: int, seed: int = 0
 ) -> CondensedGraph:
     """Greedy selection keeping the running mean close to the class mean."""
-    pool = _pool(dataset)
-    quotas = _class_quotas(dataset.labels[pool], dataset.num_classes, n)
-    picks = []
-    for c in range(dataset.num_classes):
-        members = pool[dataset.labels[pool] == c]
+
+    def herd(members: np.ndarray, quota: int) -> np.ndarray:
         pts = Z[members]
         mean = pts.mean(axis=0)
         chosen: list[int] = []
         running = np.zeros_like(mean)
         available = np.ones(pts.shape[0], dtype=bool)
-        while len(chosen) < quotas[c]:
+        while len(chosen) < quota:
             k = len(chosen)
             cand = (running + pts) / (k + 1)
             dist = np.sum((cand - mean) ** 2, axis=1)
@@ -347,5 +325,6 @@ def coreset_herding(
             chosen.append(nxt)
             available[nxt] = False
             running = running + pts[nxt]
-        picks.append(members[chosen])
-    return _coreset_from_indices(dataset, Z, np.concatenate(picks), "herding")
+        return members[chosen]
+
+    return _per_class_coreset(dataset, Z, n, "herding", herd)

@@ -156,11 +156,6 @@ class Dataset:
     def num_features(self) -> int:
         return self.features.shape[1]
 
-    def onehot_labels(self) -> np.ndarray:
-        out = np.zeros((self.labels.shape[0], self.num_classes))
-        out[np.arange(self.labels.shape[0]), self.labels] = 1.0
-        return out
-
 
 def normalized_adjacency(graph: SparseGraph) -> SparseGraph:
     """Symmetric degree normalization D^{-1/2} A D^{-1/2}.

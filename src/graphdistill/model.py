@@ -198,14 +198,24 @@ def softmax_vjp(P: np.ndarray, dP: np.ndarray) -> np.ndarray:
     return P * (dP - inner)
 
 
-def cross_entropy(P: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
-    """Mean negative log-probability of the true class over masked rows."""
-    mask = np.asarray(mask, dtype=bool)
-    count = int(mask.sum())
-    if count == 0:
+def softmax_cross_entropy(
+    logits: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """(P, loss, dlogits): softmax, mean cross-entropy and its logit gradient.
+
+    Every row is scored: P is softmax_predict(logits), the loss is
+    -mean(log(max(P[row, label], 1e-12))) and dlogits is
+    (P - onehot(labels)) / rows.
+    """
+    rows = logits.shape[0]
+    if rows == 0:
         raise ValueError("empty mask")
-    picked = P[mask, np.asarray(labels)[mask]]
-    return float(-np.mean(np.log(np.clip(picked, 1e-12, None))))
+    P = softmax_predict(logits)
+    picked = P[np.arange(rows), labels]
+    loss = float(-np.mean(np.log(np.clip(picked, 1e-12, None))))
+    onehot = np.zeros_like(P)
+    onehot[np.arange(rows), labels] = 1.0
+    return P, loss, (P - onehot) / rows
 
 
 def _l2_penalty(params: ClassifierParams, weight_decay: float) -> float:
@@ -303,14 +313,11 @@ def train_classifier(
         raise ValueError("empty mask")
     params = params.copy()
     rng = np.random.default_rng(cfg.seed)
-    num_classes = params.weights[-1].shape[1]
-    if int(labels.max()) >= num_classes:
+    if int(labels.max()) >= params.weights[-1].shape[1]:
         raise ValueError("label outside the classifier's output range")
     train_idx = np.flatnonzero(mask)
     n_train = train_idx.shape[0]
     Z_train, labels_train = Z[train_idx], labels[train_idx]
-    onehot_train = np.zeros((n_train, num_classes))
-    onehot_train[np.arange(n_train), labels_train] = 1.0
 
     step = optimizer_step(cfg.optimizer, params.weights + params.biases)
 
@@ -318,21 +325,17 @@ def train_classifier(
     for epoch in range(cfg.epochs):
         if 0 < cfg.batch_size < n_train:
             batch = np.sort(rng.choice(n_train, size=cfg.batch_size, replace=False))
-            Zb, yb, onehot = Z_train[batch], labels_train[batch], onehot_train[batch]
+            Zb, yb = Z_train[batch], labels_train[batch]
         else:
-            Zb, yb, onehot = Z_train, labels_train, onehot_train
-        rows = Zb.shape[0]
+            Zb, yb = Z_train, labels_train
 
         logits, cache = forward_cache(params, Zb, train_mode=True, rng=rng)
-        P = softmax_predict(logits)
-        loss = cross_entropy(P, yb, np.ones(rows, dtype=bool)) + _l2_penalty(
-            params, cfg.weight_decay
-        )
+        _, loss, dlogits = softmax_cross_entropy(logits, yb)
+        loss += _l2_penalty(params, cfg.weight_decay)
         if not np.isfinite(loss):
             raise DivergedError(epoch)
         losses.append(loss)
 
-        dlogits = (P - onehot) / float(rows)
         _, d_w, d_b = backward(params, cache, dlogits)
         for i in range(params.depth):
             d_w[i] = d_w[i] + cfg.weight_decay * params.weights[i]

@@ -27,7 +27,6 @@ from .dataio import config_hash
 from .evaluate import (
     EvalConfig,
     EvalReport,
-    GCNParams,
     evaluate_on_original,
     gcn_forward,
     renormalized_adjacency,
@@ -154,6 +153,8 @@ def _stage(name: str, timings: dict):
 
 
 def resolve_synthetic_size(cfg: PipelineConfig, dataset: Dataset) -> int:
+    if cfg.ratio_base not in ("all", "train"):
+        raise ValueError(f"ratio_base must be 'all' or 'train', not {cfg.ratio_base!r}")
     base = (
         int(dataset.train_mask.sum()) if cfg.ratio_base == "train" else dataset.num_nodes
     )
@@ -176,7 +177,7 @@ def stage_seeds(seed: int) -> tuple[int, int, int, int, int, int]:
 
 def evaluation_gcn(
     dataset: Dataset, condensed: CondensedGraph, cfg: PipelineConfig, repeat: int = 0
-) -> GCNParams:
+) -> model.ClassifierParams:
     """Train the evaluation GCN of one repeat, exactly as run_pipeline does."""
     ecfg = EvalConfig(
         epochs=cfg.eval_epochs,
@@ -191,13 +192,13 @@ def evaluation_gcn(
         condensed,
         ecfg,
         seed=stage_seeds(cfg.seed)[5] + repeat,
-        dataset=dataset if cfg.model_selection == "best_val" else None,
+        dataset=dataset,
     )
 
 
 def evaluate_condensed(
     dataset: Dataset, condensed: CondensedGraph, cfg: PipelineConfig
-) -> tuple[GCNParams | None, list[float]]:
+) -> tuple[model.ClassifierParams | None, list[float]]:
     """Test accuracies of cfg.eval_repeats evaluation GCNs, plus the first GCN."""
     first_params = None
     accuracies = []
@@ -210,7 +211,7 @@ def evaluate_condensed(
 
 
 def representation_fid(
-    params: GCNParams, dataset: Dataset, condensed: CondensedGraph, normalize: bool
+    params: model.ClassifierParams, dataset: Dataset, condensed: CondensedGraph, normalize: bool
 ) -> float:
     """FID between the GCN outputs on the original and the condensed graph."""
     h_org = gcn_forward(params, renormalized_adjacency(dataset.graph), dataset.features)
@@ -314,7 +315,6 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
         )
         rcfg = RefineConfig(
             beta=cfg.beta,
-            rho=cfg.rho,
             T_prime=cfg.T_prime,
             alpha_prime=None if cfg.alpha_prime < 0 else cfg.alpha_prime,
             gamma=cfg.gamma,

@@ -31,7 +31,6 @@ COS_FLOOR = 1e-6
 @dataclass
 class RefineConfig:
     beta: float = 0.01  # correction scale on Delta
-    rho: float = 0.4  # fraction of edges kept per class graph
     T_prime: int = 2
     alpha_prime: float | None = None  # None reuses the propagation alpha
     gamma: float = 7.0  # synthetic-loss weight
@@ -42,8 +41,6 @@ class RefineConfig:
     optimizer: str = "adam"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.rho <= 1.0:
-            raise ValueError("rho must lie in (0, 1]")
         if self.T_prime < 0:
             raise ValueError("T_prime must be nonnegative")
         if self.epochs < 0:
@@ -194,15 +191,13 @@ def refine_loss_and_grads(
     """
     n, num_classes = y_prime.shape
     mask = np.asarray(train_mask, dtype=bool)
-    mask_count = int(mask.sum())
 
     logits_org, cache_org = model.forward_cache(params, Z, train_mode, rng)
-    P_org = model.softmax_predict(logits_org)
-    l_org = model.cross_entropy(P_org, labels, mask)
-    onehot = np.zeros_like(P_org)
-    onehot[np.arange(Z.shape[0]), np.asarray(labels)] = 1.0
-    dlogits_org = np.zeros_like(P_org)
-    dlogits_org[mask] = (P_org[mask] - onehot[mask]) / mask_count
+    _, l_org, d_org = model.softmax_cross_entropy(
+        logits_org[mask], np.asarray(labels)[mask]
+    )
+    dlogits_org = np.zeros_like(logits_org)
+    dlogits_org[mask] = d_org
     _, d_w, d_b = model.backward(params, cache_org, dlogits_org)
 
     base = x_prime + beta * delta

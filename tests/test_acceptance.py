@@ -33,10 +33,10 @@ from graphdistill.fid import (
 from graphdistill.graph import homophily_ratio, normalize_rows, normalized_adjacency
 from graphdistill.model import (
     backward,
-    cross_entropy,
     forward,
     forward_cache,
     init_classifier,
+    softmax_cross_entropy,
     softmax_predict,
 )
 from graphdistill.pipeline import (
@@ -254,9 +254,8 @@ def _head_gradcheck_worst() -> float:
 
         def loss_fn():
             logits = forward(params, z)
-            p = softmax_predict(logits)
             penalty = 0.5 * wd * sum(float(np.sum(w**2)) for w in params.weights)
-            return cross_entropy(p, labels, mask) + penalty
+            return softmax_cross_entropy(logits[mask], labels[mask])[1] + penalty
 
         logits, cache = forward_cache(params, z)
         p = softmax_predict(logits)

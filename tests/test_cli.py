@@ -180,6 +180,19 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     assert "stage 'cluster' failed" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--model_selection", "best-val"), ("--ratio_base", "Train")]
+)
+def test_misspelled_choice_exits_with_one_line(tmp_path, capsys, flag, value):
+    data_dir = _gen(tmp_path)
+    capsys.readouterr()
+    rc = main(["distill", "--dataset-dir", str(data_dir)] + FAST_FLAGS + [flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: stage ") and f"{flag[2:]} must be" in err
+
+
 def test_evaluate_refuses_malformed_condensed_dir(tmp_path, capsys):
     data_dir = _gen(tmp_path)
     cond_dir = tmp_path / "cond"

@@ -5,7 +5,6 @@ from conftest import random_graph
 from graphdistill.condense import CondensedGraph
 from graphdistill.evaluate import (
     EvalConfig,
-    GCNParams,
     _class_quotas,
     _gcn_backward,
     _gcn_forward_cache,
@@ -15,12 +14,17 @@ from graphdistill.evaluate import (
     coreset_random,
     evaluate_on_original,
     gcn_forward,
-    init_gcn,
     renormalized_adjacency,
     train_eval_gcn,
 )
 from graphdistill.graph import Dataset, SparseGraph
-from graphdistill.model import AdamState, softmax_predict
+from graphdistill.model import (
+    AdamState,
+    ClassifierParams,
+    init_classifier,
+    optimizer_step,
+    softmax_predict,
+)
 
 
 def _toy_dataset(rng, per_class=10, sep=6.0, name="toy"):
@@ -78,7 +82,7 @@ def test_renormalization_sparse_agrees_with_dense():
 
 def test_gcn_forward_shapes_and_eval_determinism():
     rng = np.random.default_rng(2)
-    params = init_gcn(rng, 4, 8, 3, dropout=0.5)
+    params = init_classifier(rng, 4, 3, depth=2, hidden_dim=8, dropout_rate=0.5)
     a_hat = renormalized_adjacency(np.abs(rng.random((5, 5))))
     x = rng.standard_normal((5, 4))
     out1 = gcn_forward(params, a_hat, x)
@@ -89,20 +93,20 @@ def test_gcn_forward_shapes_and_eval_determinism():
 
 def _gcn_reference(params, a_hat, x, keep_scale=None):
     """Both GCN layers with Â applied to the hidden_dim-wide side: (Â X) W1, then (Â h1) W2."""
-    s1 = (a_hat @ x) @ params.w1 + params.b1
+    s1 = (a_hat @ x) @ params.weights[0] + params.biases[0]
     h1 = s1 * (s1 > 0.0)
     if keep_scale is not None:
         h1 = h1 * keep_scale
-    return (a_hat @ h1) @ params.w2 + params.b2
+    return (a_hat @ h1) @ params.weights[1] + params.biases[1]
 
 
 def test_gcn_forward_matches_layer_by_layer_products():
     rng = np.random.default_rng(21)
     graph = random_graph(rng, 40, 0.1)
     x = rng.standard_normal((40, 6))
-    params = init_gcn(rng, 6, 32, 4, dropout=0.5)
-    params.b1 = 0.1 * rng.standard_normal(params.b1.shape)
-    params.b2 = 0.1 * rng.standard_normal(params.b2.shape)
+    params = init_classifier(rng, 6, 4, depth=2, hidden_dim=32, dropout_rate=0.5)
+    params.biases[0] = 0.1 * rng.standard_normal(params.biases[0].shape)
+    params.biases[1] = 0.1 * rng.standard_normal(params.biases[1].shape)
     dense = renormalized_adjacency(graph.to_scipy().toarray())
     sparse = renormalized_adjacency(graph)
     for a_hat in (dense, sparse):
@@ -120,7 +124,7 @@ def test_gcn_gradients_match_finite_differences():
     from graphdistill.evaluate import _gcn_backward, _gcn_forward_cache
 
     rng = np.random.default_rng(3)
-    params = init_gcn(rng, 3, 5, 2, dropout=0.0)
+    params = init_classifier(rng, 3, 2, depth=2, hidden_dim=5, dropout_rate=0.0)
     a_hat = renormalized_adjacency(np.abs(rng.random((6, 6))))
     x = rng.standard_normal((6, 3))
     labels = rng.integers(0, 2, size=6)
@@ -134,7 +138,7 @@ def test_gcn_gradients_match_finite_differences():
     logits, cache = _gcn_forward_cache(params, a_hat, x, False, None)
     P = softmax_predict(logits)
     grads = _gcn_backward(params, a_hat, cache, (P - onehot) / 6.0)
-    tensors = [params.w1, params.b1, params.w2, params.b2]
+    tensors = [params.weights[0], params.biases[0], params.weights[1], params.biases[1]]
     for tensor, g in zip(tensors, grads):
         fd = np.zeros_like(tensor)
         it = np.nditer(tensor, flags=["multi_index"])
@@ -181,7 +185,8 @@ def test_eval_training_is_deterministic():
     cfg = EvalConfig(epochs=30, hidden_dim=8, dropout=0.5)
     a = train_eval_gcn(condensed, cfg, seed=7)
     b = train_eval_gcn(condensed, cfg, seed=7)
-    assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
+    assert np.array_equal(a.weights[0], b.weights[0])
+    assert np.array_equal(a.weights[1], b.weights[1])
 
 
 def test_best_val_selection_requires_dataset():
@@ -192,7 +197,7 @@ def test_best_val_selection_requires_dataset():
         train_eval_gcn(condensed, cfg, seed=0)
     dataset = _toy_dataset(rng)
     params = train_eval_gcn(condensed, cfg, seed=0, dataset=dataset)
-    assert params.w1.shape == (3, 8)
+    assert params.weights[0].shape == (3, 8)
 
 
 def test_best_val_refuses_empty_validation_set():
@@ -209,24 +214,27 @@ def _best_val_reference(condensed, cfg, seed, dataset):
     """best_val selection scored with a full-graph gcn_forward every epoch."""
     rng = np.random.default_rng(seed)
     n, d = condensed.x_prime.shape
-    params = init_gcn(rng, d, cfg.hidden_dim, condensed.num_classes, cfg.dropout)
+    params = init_classifier(
+        rng, d, condensed.num_classes, depth=2, hidden_dim=cfg.hidden_dim,
+        dropout_rate=cfg.dropout,
+    )
     a_hat = renormalized_adjacency(condensed.a_prime)
     a_hat_org = renormalized_adjacency(dataset.graph)
-    tensors = [params.w1, params.b1, params.w2, params.b2]
+    tensors = [params.weights[0], params.biases[0], params.weights[1], params.biases[1]]
     adam = AdamState([t.shape for t in tensors])
     best, best_val = None, -1.0
     for _ in range(cfg.epochs):
         logits, cache = _gcn_forward_cache(params, a_hat, condensed.x_prime, True, rng)
         dlogits = (softmax_predict(logits) - condensed.y_prime) / n
         grads = list(_gcn_backward(params, a_hat, cache, dlogits))
-        grads[0] += cfg.weight_decay * params.w1
-        grads[2] += cfg.weight_decay * params.w2
+        grads[0] += cfg.weight_decay * params.weights[0]
+        grads[2] += cfg.weight_decay * params.weights[1]
         adam.step(tensors, grads, cfg.learning_rate)
         pred = np.argmax(gcn_forward(params, a_hat_org, dataset.features), axis=1)
         acc = float(np.mean(pred[dataset.val_mask] == dataset.labels[dataset.val_mask]))
         if acc > best_val:
             best_val = acc
-            best = GCNParams(*(t.copy() for t in tensors), params.dropout_rate)
+            best = params.copy()
     return best
 
 
@@ -249,8 +257,8 @@ def test_best_val_matches_full_graph_scoring():
         cfg = EvalConfig(epochs=40, hidden_dim=8, dropout=0.5, model_selection="best_val")
         got = train_eval_gcn(condensed, cfg, seed=seed, dataset=dataset)
         want = _best_val_reference(condensed, cfg, seed, dataset)
-        for name in ("w1", "b1", "w2", "b2"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for g, w in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(g, w)
 
 
 def test_inductive_equals_transductive_without_test_edges():
@@ -262,7 +270,7 @@ def test_inductive_equals_transductive_without_test_edges():
     masks = np.zeros((3, 10), dtype=bool)
     masks[0, :6], masks[1, 6:8], masks[2, 8:] = True, True, True
     ds = Dataset(graph, feats, labels, masks[0], masks[1], masks[2], 2, "edgeless")
-    params = init_gcn(rng, 3, 6, 2, dropout=0.0)
+    params = init_classifier(rng, 3, 2, depth=2, hidden_dim=6, dropout_rate=0.0)
     assert evaluate_on_original(params, ds, inductive=False) == pytest.approx(
         evaluate_on_original(params, ds, inductive=True)
     )
@@ -340,7 +348,7 @@ def test_coreset_respects_quotas_and_seed():
 def _gcn_cache_reference(params, a_hat, x, train_mode, rng):
     """The GCN forward with a (mask, scale) pair for its hidden layer."""
     ax = a_hat @ x
-    s1 = ax @ params.w1 + params.b1
+    s1 = ax @ params.weights[0] + params.biases[0]
     mask = s1 > 0.0
     h1 = s1 * mask
     scale = None
@@ -348,14 +356,14 @@ def _gcn_cache_reference(params, a_hat, x, train_mode, rng):
         keep = rng.random(h1.shape) >= params.dropout_rate
         scale = keep / (1.0 - params.dropout_rate)
         h1 = h1 * scale
-    logits = a_hat @ (h1 @ params.w2) + params.b2
+    logits = a_hat @ (h1 @ params.weights[1]) + params.biases[1]
     return logits, (ax, mask, scale, h1)
 
 
 def _gcn_backward_reference(params, a_hat, cache, dlogits):
     ax, mask, scale, h1 = cache
     g = a_hat.T @ dlogits
-    dh1 = g @ params.w2.T
+    dh1 = g @ params.weights[1].T
     if scale is not None:
         dh1 = dh1 * scale
     ds1 = dh1 * mask
@@ -375,10 +383,10 @@ def _gcn_with_zeros(seed, N, d=32, hidden=256, K=4):
     graph = SparseGraph.from_edges(N, keep)
     x = rng.standard_normal((N, d))
     x[::7] = 0.0
-    params = init_gcn(rng, d, hidden, K, dropout=0.5)
-    params.b1 = 0.1 * rng.standard_normal(hidden)
-    params.b1[::3] = 0.0
-    params.b2 = 0.1 * rng.standard_normal(K)
+    params = init_classifier(rng, d, K, depth=2, hidden_dim=hidden, dropout_rate=0.5)
+    params.biases[0] = 0.1 * rng.standard_normal(hidden)
+    params.biases[0][::3] = 0.0
+    params.biases[1] = 0.1 * rng.standard_normal(K)
     return params, graph, x
 
 
@@ -428,8 +436,139 @@ def test_validation_logits_match_whole_matrix_reference_bitwise():
     assert np.array_equal(labels, dataset.labels[val_idx])
     # later calls reuse the first call's hidden buffer
     for scale in (1.0, -0.5, 2.0):
-        p = GCNParams(scale * params.w1, params.b1, params.w2, params.b2)
-        s1 = ax @ p.w1 + p.b1
+        p = ClassifierParams([scale * params.weights[0], params.weights[1]], params.biases)
+        s1 = ax @ p.weights[0] + p.biases[0]
         h1 = s1 * (s1 > 0.0)
-        want = a_val[:, touched] @ (h1 @ p.w2) + p.b2
+        want = a_val[:, touched] @ (h1 @ p.weights[1]) + p.biases[1]
         assert logits(p).tobytes() == want.tobytes()
+
+
+def _coreset_reference(dataset, Z, n, seed, method):
+    """The removed selectors, each with its own per-class loop over the pool."""
+    rng = np.random.default_rng(seed)
+    pool = np.flatnonzero(dataset.train_mask)
+    quotas = _class_quotas(dataset.labels[pool], dataset.num_classes, n)
+    picks = []
+    for c in range(dataset.num_classes):
+        members = pool[dataset.labels[pool] == c]
+        if method == "random":
+            picks.append(rng.choice(members, size=quotas[c], replace=False))
+            continue
+        pts = Z[members]
+        mean = pts.mean(axis=0)
+        if method == "kcenter":
+            chosen = [int(np.argmax(np.sum((pts - mean) ** 2, axis=1)))]
+            min_d = np.sum((pts - pts[chosen[0]]) ** 2, axis=1)
+            min_d[chosen[0]] = -np.inf
+            while len(chosen) < quotas[c]:
+                nxt = int(np.argmax(min_d))
+                chosen.append(nxt)
+                min_d = np.minimum(min_d, np.sum((pts - pts[nxt]) ** 2, axis=1))
+                min_d[nxt] = -np.inf
+        else:
+            chosen = []
+            running = np.zeros_like(mean)
+            available = np.ones(pts.shape[0], dtype=bool)
+            while len(chosen) < quotas[c]:
+                cand = (running + pts) / (len(chosen) + 1)
+                dist = np.sum((cand - mean) ** 2, axis=1)
+                dist[~available] = np.inf
+                nxt = int(np.argmin(dist))
+                chosen.append(nxt)
+                available[nxt] = False
+                running = running + pts[nxt]
+        picks.append(members[chosen])
+    selected = np.sort(np.concatenate(picks))
+    sub = dataset.graph.to_scipy()[selected][:, selected].toarray()
+    onehot = np.zeros((selected.shape[0], dataset.num_classes))
+    onehot[np.arange(selected.shape[0]), dataset.labels[selected]] = 1.0
+    return selected, Z[selected], 0.5 * (sub + sub.T), onehot
+
+
+def _random_split_dataset(rng, N, K):
+    labels = rng.integers(0, K, size=N)
+    labels[:K] = np.arange(K)
+    tokens = rng.choice(["train", "val", "test"], size=N, p=[0.5, 0.25, 0.25])
+    tokens[:K] = "train"
+    feats = rng.standard_normal((N, 5)) + 1.5 * np.eye(K, 5)[labels]
+    return Dataset(
+        random_graph(rng, N, 0.05), feats, labels,
+        tokens == "train", tokens == "val", tokens == "test", K,
+    )
+
+
+@pytest.mark.parametrize("method", ["random", "kcenter", "herding"])
+def test_coreset_selectors_match_per_method_loops_bitwise(method):
+    selector = {
+        "random": coreset_random, "kcenter": coreset_kcenter, "herding": coreset_herding,
+    }[method]
+    for seed in range(3):
+        rng = np.random.default_rng(70 + seed)
+        dataset = _random_split_dataset(rng, 150, 4)
+        Z = rng.standard_normal((150, 6))
+        got = selector(dataset, Z, 23, seed=seed)
+        indices, x, a, y = _coreset_reference(dataset, Z, 23, seed, method)
+        assert got.meta == {"method": method, "indices": indices.tolist()}
+        for g, w in ((got.x_prime, x), (got.a_prime, a), (got.y_prime, y)):
+            assert g.tobytes() == w.tobytes()
+
+
+def _train_eval_gcn_reference(condensed, cfg, seed, dataset):
+    """The removed trainer: four loose tensors and a hand-built cross-entropy step."""
+    rng = np.random.default_rng(seed)
+    n, d = condensed.x_prime.shape
+    head = init_classifier(
+        rng, d, condensed.num_classes, depth=2, hidden_dim=cfg.hidden_dim,
+        dropout_rate=cfg.dropout,
+    )
+    (w1, w2), (b1, b2) = head.weights, head.biases
+    a_hat = renormalized_adjacency(condensed.a_prime)
+    labels = condensed.labels
+    step = optimizer_step(cfg.optimizer, [w1, b1, w2, b2])
+    want_val = cfg.model_selection == "best_val"
+    if want_val:
+        val_logits, val_labels = _validation_logits(dataset)
+    best, best_val = None, -1.0
+    for _ in range(cfg.epochs):
+        logits, cache = _gcn_cache_reference(head, a_hat, condensed.x_prime, True, rng)
+        P = softmax_predict(logits)
+        picked = np.clip(P[np.arange(n), labels], 1e-12, None)
+        loss = float(-np.mean(np.log(picked)))
+        loss += 0.5 * cfg.weight_decay * (float(np.sum(w1**2)) + float(np.sum(w2**2)))
+        assert np.isfinite(loss)
+        d_w1, d_b1, d_w2, d_b2 = _gcn_backward_reference(
+            head, a_hat, cache, (P - condensed.y_prime) / n
+        )
+        d_w1 += cfg.weight_decay * w1
+        d_w2 += cfg.weight_decay * w2
+        step([d_w1, d_b1, d_w2, d_b2], cfg.learning_rate)
+        if want_val:
+            acc = float(np.mean(np.argmax(val_logits(head), axis=1) == val_labels))
+            if acc > best_val:
+                best_val = acc
+                best = [w1.copy(), b1.copy(), w2.copy(), b2.copy()]
+    return best if best is not None else [w1, b1, w2, b2]
+
+
+@pytest.mark.parametrize(
+    "model_selection, optimizer", [("final", "adam"), ("best_val", "adam"), ("final", "gd")]
+)
+def test_train_eval_gcn_matches_loose_tensor_trainer_bitwise(model_selection, optimizer):
+    for seed in range(3):
+        rng = np.random.default_rng(80 + seed)
+        dataset = _random_split_dataset(rng, 120, 3)
+        n, K = 12, 3
+        y = np.eye(K)[np.arange(n) % K]
+        m = np.abs(rng.standard_normal((n, n)))
+        condensed = CondensedGraph(
+            y @ np.eye(K, 5) + 0.5 * rng.standard_normal((n, 5)), 0.5 * (m + m.T), y
+        )
+        cfg = EvalConfig(
+            epochs=30, hidden_dim=16, dropout=0.5, learning_rate=0.05,
+            optimizer=optimizer, model_selection=model_selection,
+        )
+        got = train_eval_gcn(condensed, cfg, seed=seed, dataset=dataset)
+        want = _train_eval_gcn_reference(condensed, cfg, seed, dataset)
+        (w1, w2), (b1, b2) = got.weights, got.biases
+        for g, w in zip((w1, b1, w2, b2), want):
+            assert g.tobytes() == w.tobytes()

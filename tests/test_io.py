@@ -276,6 +276,20 @@ def test_config_hash_order_independent_and_sensitive():
     assert len(config_hash(a)) == 16
 
 
+def test_template_writers_match_per_pair_format(tmp_path):
+    ds = _dataset(seed=5, n=300, k=12)
+    save_dataset(ds, tmp_path / "d")
+    # the removed writers: one f-string per numpy edge pair and per label
+    edges = "".join(f"{i}\t{j}\n" for i, j in ds.graph.undirected_edges())
+    labels = "".join(f"{y}\n" for y in ds.labels)
+    assert (tmp_path / "d" / "edges.tsv").read_bytes() == edges.encode()
+    assert (tmp_path / "d" / "labels.txt").read_bytes() == labels.encode()
+    y = np.eye(12)[ds.labels[:40]]
+    save_condensed(CondensedGraph(ds.features[:40], np.eye(40), y), tmp_path / "c")
+    y_prime = "".join(f"{c}\n" for c in np.argmax(y, axis=1))
+    assert (tmp_path / "c" / "y_prime.txt").read_bytes() == y_prime.encode()
+
+
 def _per_value_rows(matrix):
     """The writer's bytes built one format call per value."""
     return "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in matrix)

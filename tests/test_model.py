@@ -7,11 +7,11 @@ from graphdistill.model import (
     DivergedError,
     TrainConfig,
     backward,
-    cross_entropy,
     forward,
     forward_cache,
     init_classifier,
     relu_layers,
+    softmax_cross_entropy,
     softmax_predict,
     train_classifier,
 )
@@ -19,9 +19,8 @@ from graphdistill.model import (
 
 def _loss(params, z, labels, mask, wd=0.0):
     logits = forward(params, z)
-    p = softmax_predict(logits)
     penalty = 0.5 * wd * sum(float(np.sum(w**2)) for w in params.weights)
-    return cross_entropy(p, labels, mask) + penalty
+    return softmax_cross_entropy(logits[mask], labels[mask])[1] + penalty
 
 
 def _analytic_grads(params, z, labels, mask, wd=0.0):
@@ -75,11 +74,59 @@ def test_softmax_rows_sum_to_one_and_shift_invariance():
 
 
 def test_cross_entropy_uniform_and_empty_mask():
-    p = np.full((4, 5), 0.2)
+    logits = np.zeros((4, 5))  # every class at probability 0.2
     labels = np.array([0, 1, 2, 3])
-    assert cross_entropy(p, labels, np.ones(4, bool)) == pytest.approx(np.log(5.0))
+    assert softmax_cross_entropy(logits, labels)[1] == pytest.approx(np.log(5.0))
     with pytest.raises(ValueError, match="empty mask"):
-        cross_entropy(p, labels, np.zeros(4, bool))
+        softmax_cross_entropy(logits[:0], labels[:0])
+
+
+def _masked_cross_entropy_reference(P, labels, mask):
+    """The removed cross_entropy: mean clipped negative log-probability of masked rows."""
+    picked = P[mask, labels[mask]]
+    return float(-np.mean(np.log(np.clip(picked, 1e-12, None))))
+
+
+def _same_bytes(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("rows, k", [(1, 2), (37, 4), (300, 7)])
+def test_softmax_cross_entropy_matches_hand_built_blocks_bitwise(rows, k):
+    rng = np.random.default_rng(rows + k)
+    logits = 10.0 * rng.standard_normal((rows, k))
+    # the other classes of these rows underflow to probability 0, so the
+    # clip at 1e-12 applies when one of them is the label
+    logits[::4, 0] = 800.0
+    labels = rng.integers(0, k, size=rows)
+    onehot = np.zeros((rows, k))
+    onehot[np.arange(rows), labels] = 1.0
+    want_P = softmax_predict(logits)
+    P, loss, dlogits = softmax_cross_entropy(logits, labels)
+    assert _same_bytes(P, want_P)
+
+    # train_classifier's block: the loss over every batch row and a
+    # precomputed one-hot divided by float(rows)
+    assert _same_bytes(loss, _masked_cross_entropy_reference(want_P, labels, np.ones(rows, bool)))
+    assert _same_bytes(dlogits, (want_P - onehot) / float(rows))
+
+    # train_eval_gcn's block: clip, log and mean over all rows, then
+    # (P - Y') / n
+    picked = np.clip(want_P[np.arange(rows), labels], 1e-12, None)
+    assert _same_bytes(loss, float(-np.mean(np.log(picked))))
+    assert _same_bytes(dlogits, (want_P - onehot) / rows)
+
+    # refine's L_org block: softmax over every row, the loss and gradient
+    # over the masked rows, scattered into zeros
+    mask = rng.random(rows) < 0.6
+    mask[0] = True
+    want = np.zeros_like(want_P)
+    want[mask] = (want_P[mask] - onehot[mask]) / int(mask.sum())
+    _, got_loss, d = softmax_cross_entropy(logits[mask], labels[mask])
+    got = np.zeros_like(logits)
+    got[mask] = d
+    assert _same_bytes(got_loss, _masked_cross_entropy_reference(want_P, labels, mask))
+    assert _same_bytes(got, want)
 
 
 def _kink_margin(params, z):

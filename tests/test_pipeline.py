@@ -208,6 +208,16 @@ def test_best_val_without_validation_rows_fails_in_evaluate():
         run_pipeline(ds, _fast_config(model_selection="best_val"))
 
 
+@pytest.mark.parametrize(
+    "field, value, stage",
+    [("model_selection", "best-val", "evaluate"), ("ratio_base", "Train", "cluster")],
+)
+def test_misspelled_choice_is_refused(field, value, stage):
+    ds = _small_sbm(0)
+    with pytest.raises(PipelineError, match=rf"stage '{stage}' failed: {field} must be"):
+        run_pipeline(ds, _fast_config(**{field: value, "E3": 2}))
+
+
 def test_report_block_format():
     ds = _small_sbm(0)
     result = run_pipeline(ds, _fast_config())

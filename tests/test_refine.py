@@ -143,6 +143,8 @@ def test_sampling_score_weighting_and_errors():
         assert v == pytest.approx(index[key], abs=1e-15)
     with pytest.raises(GraphError):
         sample_class_graphs(a_norm, P, res, rho=0.0)
+    with pytest.raises(GraphError):
+        sample_class_graphs(a_norm, P, res, rho=1.5)
     with pytest.raises(ValueError):
         sample_class_graphs(a_norm, P, res, rho=0.5, weighting="bogus")
 
@@ -302,10 +304,6 @@ def test_refine_requires_condensed_adjacencies():
 
 
 def test_refine_config_validation():
-    with pytest.raises(ValueError):
-        RefineConfig(rho=0.0)
-    with pytest.raises(ValueError):
-        RefineConfig(rho=1.5)
     with pytest.raises(ValueError):
         RefineConfig(T_prime=-1)
     with pytest.raises(ValueError):
