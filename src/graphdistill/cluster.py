@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .model import row_blocks
+
 
 @dataclass
 class Clustering:
@@ -23,14 +25,6 @@ class Clustering:
     sizes: np.ndarray  # (n,) all >= 1
     centroids: np.ndarray  # (n, dim)
     wcss_trace: list[float] = field(default_factory=list)
-
-
-def _pairwise_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    sq_p = np.einsum("ij,ij->i", points, points)[:, None]
-    sq_c = np.einsum("ij,ij->i", centers, centers)[None, :]
-    d = sq_p + sq_c - 2.0 * points @ centers.T
-    np.maximum(d, 0.0, out=d)
-    return d
 
 
 def _kmeans_pp(
@@ -52,9 +46,29 @@ def _kmeans_pp(
     return points[chosen].copy()
 
 
+# Points per block of an assignment pass. A block's distances to the
+# centers are block x n doubles, so a pass holds one block's worth of them
+# rather than N x n.
+ASSIGN_BLOCK = 1024
+
+
 def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # argmin returns the lowest index on ties
-    return np.argmin(_pairwise_sq(points, centers), axis=1)
+    """Index of the nearest center per point, ASSIGN_BLOCK points at a time.
+
+    Squared distances are |p|^2 + |c|^2 - 2 p.c, clipped at zero; argmin
+    returns the lowest index on ties. The blocks are model.row_blocks, so
+    the result equals that of one N x n distance matrix as long as a row's
+    GEMM result does not depend on how many rows the call holds.
+    """
+    N = points.shape[0]
+    sq_p = np.einsum("ij,ij->i", points, points)[:, None]
+    sq_c = np.einsum("ij,ij->i", centers, centers)[None, :]
+    assignment = np.empty(N, dtype=np.int64)
+    for lo, hi in row_blocks(N, ASSIGN_BLOCK):
+        d = sq_p[lo:hi] + sq_c - 2.0 * points[lo:hi] @ centers.T
+        np.maximum(d, 0.0, out=d)
+        assignment[lo:hi] = np.argmin(d, axis=1)
+    return assignment
 
 
 def _repair_empty(

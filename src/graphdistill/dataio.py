@@ -120,15 +120,18 @@ def load_dataset(directory: Path | str) -> Dataset:
     N, M, d, K = meta["N"], meta["M"], meta["d"], meta["K"]
 
     edge_path = directory / "edges.tsv"
-    edges = []
-    for lineno, raw in enumerate(edge_path.read_text().splitlines(), start=1):
-        parts = raw.split()
-        if len(parts) != 2:
-            raise DatasetFormatError(edge_path, lineno, "expected two node ids")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise DatasetFormatError(edge_path, lineno, "node ids must be integers")
+    edges = _loadtxt_rows(edge_path, dtype=np.int64)
+    if edges is None or edges.shape[1] != 2:
+        # the line loop names the first malformed line
+        edges = []
+        for lineno, raw in enumerate(edge_path.read_text().splitlines(), start=1):
+            parts = raw.split()
+            if len(parts) != 2:
+                raise DatasetFormatError(edge_path, lineno, "expected two node ids")
+            try:
+                edges.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise DatasetFormatError(edge_path, lineno, "node ids must be integers")
     if len(edges) != M:
         raise DatasetFormatError(edge_path, len(edges), f"expected {M} edges")
 
@@ -150,7 +153,7 @@ def load_dataset(directory: Path | str) -> Dataset:
         raise DatasetFormatError(mask_path, len(tokens), f"expected {N} tokens")
     tokens = np.array(tokens)
 
-    graph = SparseGraph.from_edges(N, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    graph = SparseGraph.from_edges(N, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
     return Dataset(
         graph,
         features,
@@ -163,6 +166,38 @@ def load_dataset(directory: Path | str) -> Dataset:
     )
 
 
+# bytes other than \n that str.splitlines ends an ASCII line at
+_OTHER_LINE_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+
+
+def _loadtxt_rows(path: Path, **loadtxt_kw) -> np.ndarray | None:
+    """np.loadtxt of path as a 2-d array with one row per line, else None.
+
+    loadtxt skips blank lines, so its result is trusted only when it has as
+    many rows as the file has lines. The lines are counted from the bytes,
+    a chunk at a time, which must be ASCII and end lines at \n alone, so
+    the count is the one str.splitlines gives. None (also for an empty file
+    or a value loadtxt refuses) leaves the caller's line loop to read the
+    file.
+    """
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            if not chunk.isascii() or any(b in chunk for b in _OTHER_LINE_BREAKS):
+                return None
+            lines += chunk.count(b"\n")
+            last = chunk[-1:]
+    if last != b"\n":
+        lines += 1
+    if not lines:
+        return None
+    try:
+        rows = np.loadtxt(path, comments=None, ndmin=2, **loadtxt_kw)
+    except ValueError:
+        return None
+    return rows if len(rows) == lines else None
+
+
 def _read_matrix(path: Path, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Float matrix with one comma-separated row per line.
 
@@ -170,23 +205,12 @@ def _read_matrix(path: Path, shape: tuple[int, int] | None = None) -> np.ndarray
     is refused; without it every line must have the first line's width. A
     malformed or non-finite entry names its line.
     """
-    lines = path.read_text().splitlines()
-    matrix = None
-    if lines:
-        try:
-            matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-    # loadtxt skips blank lines, so it is trusted only when it returns one
-    # row per line; otherwise the line loop finds the first malformed line
-    if (
-        matrix is None
-        or len(matrix) != len(lines)
-        or (shape is not None and matrix.shape != shape)
-    ):
+    matrix = _loadtxt_rows(path, delimiter=",")
+    if matrix is None or (shape is not None and matrix.shape != shape):
+        # the line loop finds the first malformed line
         width = None if shape is None else shape[1]
         rows = []
-        for lineno, raw in enumerate(lines, start=1):
+        for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
             parts = raw.split(",")
             width = len(parts) if width is None else width
             if len(parts) != width:

@@ -21,7 +21,8 @@ from .model import (
     _l2_penalty,
     init_classifier,
     optimizer_step,
-    relu_gate,
+    relu_dropout,
+    relu_dropout_grad,
     relu_layers,
     softmax_cross_entropy,
 )
@@ -85,26 +86,26 @@ def gcn_forward(
 
 
 def _gcn_forward_cache(params, a_hat, X, train_mode, rng, ax=None):
-    """Logits and the (Â X, gate, h1) cache; pass ax = Â X to reuse it."""
+    """Logits and the (Â X, h1, dropout rate) cache; pass ax = Â X to reuse it."""
     (w1, w2), (b1, b2) = params.weights, params.biases
     if ax is None:
         ax = a_hat @ X
+    p = params.dropout_rate if train_mode else 0.0
     h1 = ax @ w1
     h1 += b1
-    gate = relu_gate(h1, params.dropout_rate if train_mode else 0.0, rng)
-    h1 *= gate
+    relu_dropout(h1, p, rng)
     logits = a_hat @ (h1 @ w2) + b2
-    return logits, (ax, gate, h1)
+    return logits, (ax, h1, p)
 
 
 def _gcn_backward(params, a_hat, cache, dlogits):
     """(dW1, db1, dW2, db2) of the GCN logits' gradient dlogits."""
-    ax, gate, h1 = cache
+    ax, h1, p = cache
     g = a_hat.T @ dlogits
     d_w2 = h1.T @ g
     d_b2 = dlogits.sum(axis=0)
     ds1 = g @ params.weights[1].T
-    ds1 *= gate
+    relu_dropout_grad(ds1, h1 > 0.0, p)
     d_w1 = ax.T @ ds1
     d_b1 = ds1.sum(axis=0)
     return d_w1, d_b1, d_w2, d_b2

@@ -70,10 +70,21 @@ def init_classifier(
     return ClassifierParams(weights, biases, dropout_rate)
 
 
-# Rows per block of the row-blocked eval-mode layers. A 256 x 256 float64
-# block is 512 KiB, so one block's activations stay in L2 from one layer to
-# the next.
+# Rows per block of the row-blocked eval-mode layers and of dropout draws.
+# A 256 x 256 float64 block is 512 KiB, so one block's activations stay in
+# L2 from one layer to the next.
 ROW_BLOCK = 256
+
+
+def row_blocks(rows: int, size: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of consecutive blocks of size rows covering rows.
+
+    The leftover rows join the last full block, so no block is smaller than
+    size unless rows is: a one-row product would go through GEMV, which
+    sums in another order than GEMM.
+    """
+    starts = list(range(0, max(rows - size, 0) + 1, size))
+    return list(zip(starts, starts[1:] + [rows]))
 
 
 def relu_layers(
@@ -84,20 +95,17 @@ def relu_layers(
 ) -> np.ndarray:
     """relu(h W + b) through each (W, b) in turn, ROW_BLOCK rows at a time.
 
-    Each block of rows runs through every layer before the next block
-    starts, and its last layer is written into out (allocated when None).
-    The bytes equal those of whole-matrix products as long as a row's GEMM
-    result does not depend on how many rows the call holds. The leftover
-    rows join the last full block, so no block is smaller than ROW_BLOCK
-    unless h is: a one-row product would go through GEMV, which sums in
-    another order. The rectifier multiplies by the mask, as the training
-    path does, so a negative pre-activation gives -0.0.
+    Each block of rows (see row_blocks) runs through every layer before the
+    next block starts, and its last layer is written into out (allocated
+    when None). The bytes equal those of whole-matrix products as long as a
+    row's GEMM result does not depend on how many rows the call holds. The
+    rectifier multiplies by the mask, as the training path does, so a
+    negative pre-activation gives -0.0.
     """
     rows = h.shape[0]
     if out is None:
         out = np.empty((rows, weights[-1].shape[1]))
-    starts = list(range(0, max(rows - ROW_BLOCK, 0) + 1, ROW_BLOCK))
-    for lo, hi in zip(starts, starts[1:] + [rows]):
+    for lo, hi in row_blocks(rows, ROW_BLOCK):
         x = h[lo:hi]
         for layer, (W, b) in enumerate(zip(weights, biases)):
             o = out[lo:hi] if layer == len(weights) - 1 else None
@@ -107,21 +115,39 @@ def relu_layers(
     return out
 
 
-def relu_gate(
+def relu_dropout(
     s: np.ndarray, dropout_rate: float, rng: np.random.Generator | None
-) -> np.ndarray:
-    """The float factor a hidden layer multiplies its pre-activations s by.
+) -> None:
+    """In place: relu(s), with inverted dropout when dropout_rate p > 0.
 
-    It is the rectifier's mask s > 0, times the inverted-dropout scale
-    1 / (1 - p) on the units a draw of rng keeps when dropout_rate p > 0.
-    Every factor is >= 0, so one multiply by the gate gives the bytes of a
-    mask multiply followed by a scale multiply, signed zeros included. The
-    draw has the shape of s, so the random stream is that of one mask.
+    Each unit is multiplied by its gate: the rectifier's mask s > 0, times
+    1 / (1 - p) on the units a draw of rng keeps when p > 0. The keep-mask
+    is drawn and applied in row blocks of ROW_BLOCK rows; row blocks of
+    rng.random give the stream of one draw over all of s, so only a block
+    of the mask is ever held. Every factor is >= 0, so one multiply by the
+    gate gives the bytes of a mask multiply followed by a scale multiply,
+    signed zeros included.
     """
+    if dropout_rate <= 0.0:
+        np.multiply(s, s > 0.0, out=s)
+        return
+    scale = 1.0 / (1.0 - dropout_rate)
+    for lo, hi in row_blocks(s.shape[0], ROW_BLOCK):
+        block = s[lo:hi]
+        keep = rng.random(block.shape) >= dropout_rate
+        block *= (keep & (block > 0.0)) * scale
+
+
+def relu_dropout_grad(g: np.ndarray, alive: np.ndarray, dropout_rate: float) -> None:
+    """In place: multiply g by the gate relu_dropout applied at dropout_rate p.
+
+    alive is the layer's output h > 0, which holds exactly where the gate
+    is nonzero, and a nonzero gate is 1 / (1 - p). Multiplying by the mask
+    and then by that scale gives the bytes of one multiply by the gate.
+    """
+    g *= alive
     if dropout_rate > 0.0:
-        keep = rng.random(s.shape) >= dropout_rate
-        return (keep & (s > 0.0)) * (1.0 / (1.0 - dropout_rate))
-    return (s > 0.0).astype(np.float64)
+        g *= 1.0 / (1.0 - dropout_rate)
 
 
 def forward_cache(
@@ -130,26 +156,24 @@ def forward_cache(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Forward pass keeping per-layer inputs and relu_gate gates for backward.
+    """Forward pass keeping each layer's input for backward.
 
-    Dropout applies in train mode only.
+    The cache holds those inputs and the dropout rate that applied; backward
+    rebuilds each hidden gate from the next layer's input, which is that
+    layer's output. Dropout applies in train mode only.
     """
     h = np.asarray(Z, dtype=np.float64)
     inputs: list[np.ndarray] = []
-    act: list[np.ndarray] = []
     p = params.dropout_rate if train_mode else 0.0
     if p > 0.0 and rng is None and params.depth > 1:
         raise ValueError("train_mode dropout needs an rng")
     for layer, (W, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
-        s = h @ W
-        s += b
+        h = h @ W
+        h += b
         if layer < params.depth - 1:
-            gate = relu_gate(s, p, rng)
-            s *= gate
-            act.append(gate)
-        h = s
-    return h, {"inputs": inputs, "act": act}
+            relu_dropout(h, p, rng)
+    return h, {"inputs": inputs, "dropout_rate": p}
 
 
 def forward(
@@ -170,17 +194,25 @@ def forward(
 def backward(
     params: ClassifierParams, cache: dict, dlogits: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Backpropagate dlogits; returns (dZ, weight grads, bias grads)."""
-    inputs, act = cache["inputs"], cache["act"]
+    """Backpropagate dlogits; returns (dZ, weight grads, bias grads).
+
+    The cache is consumed: each layer's input leaves it once that layer's
+    weight gradient and rectifier mask are formed, before the next
+    gradient is allocated, so a cache serves one backward.
+    """
+    inputs, p = cache["inputs"], cache["dropout_rate"]
     d_weights = [np.empty(0)] * params.depth
     d_biases = [np.empty(0)] * params.depth
     g = dlogits
     for layer in range(params.depth - 1, -1, -1):
-        d_weights[layer] = inputs[layer].T @ g
+        h = inputs.pop()
+        d_weights[layer] = h.T @ g
         d_biases[layer] = g.sum(axis=0)
+        alive = h > 0.0 if layer > 0 else None
+        del h
         g = g @ params.weights[layer].T
         if layer > 0:
-            g *= act[layer - 1]
+            relu_dropout_grad(g, alive, p)
     return g, d_weights, d_biases
 
 

@@ -57,7 +57,7 @@ def propagate_dense(
     for _ in range(T):
         term = A @ term
         coef *= alpha
-        acc = acc + coef * term
+        acc += coef * term
     return acc
 
 

@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from graphdistill.cluster import (
+    ASSIGN_BLOCK,
     _assign,
     _kmeans_pp,
     _means,
@@ -263,3 +265,43 @@ def test_kmeans_matches_two_means_reference_bitwise():
         got = kmeans(pts, 9, seed=seed, max_iter=max_iter, tol=1e-4, n_init=3)
         want = _kmeans_reference(pts, 9, seed, max_iter, 1e-4, 3)
         _assert_bitwise(got, want)
+
+
+def _assign_unblocked(points, centers):
+    """Nearest center per point from one N x n distance matrix."""
+    sq_p = np.einsum("ij,ij->i", points, points)[:, None]
+    sq_c = np.einsum("ij,ij->i", centers, centers)[None, :]
+    d = sq_p + sq_c - 2.0 * points @ centers.T
+    np.maximum(d, 0.0, out=d)
+    return np.argmin(d, axis=1)
+
+
+@pytest.mark.parametrize(
+    "N", [1, ASSIGN_BLOCK - 1, ASSIGN_BLOCK, ASSIGN_BLOCK + 1, 2 * ASSIGN_BLOCK + 1, 21000]
+)
+def test_row_blocked_assign_matches_unblocked_reference(N):
+    # relies on a row's GEMM result not depending on the call's row count
+    rng = np.random.default_rng(N)
+    centers = rng.standard_normal((40, 8))
+    points = centers[rng.integers(40, size=N)] + 0.5 * rng.standard_normal((N, 8))
+    # exact duplicates of a center tie at distance zero after clipping
+    points[::97] = centers[0]
+    centers[1] = centers[0]
+    got = _assign(points, centers)
+    want = _assign_unblocked(points, centers)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_assign_holds_less_than_one_distance_matrix():
+    N, n = 20000, 500
+    rng = np.random.default_rng(5)
+    points = rng.standard_normal((N, 16))
+    centers = rng.standard_normal((n, 16))
+    tracemalloc.start()
+    try:
+        _assign(points, centers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < N * n * 8

@@ -124,6 +124,33 @@ def test_malformed_edges_report_line(tmp_path):
         load_dataset(tmp_path / "d")
 
 
+def test_blank_edge_line_is_named(tmp_path):
+    # loadtxt skips blank lines, so a blank line must still reach the line loop
+    save_dataset(_dataset(), tmp_path / "d")
+    edges = tmp_path / "d" / "edges.tsv"
+    lines = edges.read_text().splitlines()
+    edges.write_text("\n".join(lines[:3] + [""] + lines[4:]) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"edges\.tsv:4: expected two node ids"):
+        load_dataset(tmp_path / "d")
+    edges.write_text("\n".join(lines) + "\n\n")
+    with pytest.raises(
+        DatasetFormatError, match=rf"edges\.tsv:{len(lines) + 1}: expected two node ids"
+    ):
+        load_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize("newline, end", [("\n", ""), ("\r\n", "\r\n"), ("\r", "\r")])
+def test_line_endings_load_as_splitlines_reads_them(tmp_path, newline, end):
+    ds = _dataset()
+    save_dataset(ds, tmp_path / "d")
+    for name in ("edges.tsv", "features.csv"):
+        path = tmp_path / "d" / name
+        path.write_bytes((newline.join(path.read_text().splitlines()) + end).encode())
+    back = load_dataset(tmp_path / "d")
+    assert np.array_equal(back.features, ds.features)
+    assert np.array_equal(back.graph.undirected_edges(), ds.graph.undirected_edges())
+
+
 def test_edge_count_mismatch(tmp_path):
     ds = _dataset()
     save_dataset(ds, tmp_path / "d")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -357,7 +359,9 @@ def _head_with_zeros(seed, rows, depth, d=32, hidden=256, k=4, dropout=0.5):
 @pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("train_mode", [False, True])
 def test_gated_layers_match_mask_and_scale_reference_bitwise(depth, train_mode):
-    params, z = _head_with_zeros(10 + depth, 300, depth, hidden=64)
+    # the dropout keep-mask is drawn in row blocks; the rows span three
+    # blocks, the last with the leftover rows
+    params, z = _head_with_zeros(10 + depth, 3 * ROW_BLOCK + 37, depth, hidden=64)
     rng_got, rng_want = np.random.default_rng(3), np.random.default_rng(3)
     got, cache = forward_cache(params, z, train_mode, rng_got)
     want, ref_cache = _forward_cache_reference(params, z, train_mode, rng_want)
@@ -372,6 +376,8 @@ def test_gated_layers_match_mask_and_scale_reference_bitwise(depth, train_mode):
     assert dz.tobytes() == want_dz.tobytes()
     for a, b in zip(d_w + d_b, want_w + want_b):
         assert a.tobytes() == b.tobytes()
+    # backward releases the layer inputs it consumed
+    assert cache["inputs"] == []
 
 
 @pytest.mark.parametrize("rows", [1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 1000])
@@ -387,3 +393,20 @@ def test_row_blocked_eval_forward_matches_whole_matrix_reference_bitwise(rows, d
     assert hidden.tobytes() == want_hidden.tobytes()
     # a negative pre-activation leaves -0.0, as the mask multiply does
     assert np.signbit(hidden).any()
+
+
+def test_training_epochs_hold_fewer_than_four_hidden_activations():
+    rows, hidden = 4000, 256
+    rng = np.random.default_rng(8)
+    z = rng.standard_normal((rows, 32))
+    labels = rng.integers(0, 4, size=rows)
+    mask = np.ones(rows, dtype=bool)
+    params = init_classifier(rng, 32, 4, depth=3, hidden_dim=hidden, dropout_rate=0.5)
+    cfg = TrainConfig(epochs=2, learning_rate=0.01, optimizer="adam", seed=1)
+    tracemalloc.start()
+    try:
+        train_classifier(z, labels, mask, params, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * rows * hidden * 8
