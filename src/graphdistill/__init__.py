@@ -10,7 +10,6 @@ from .condense import (
 from .dataio import load_condensed, load_dataset, save_condensed, save_dataset
 from .evaluate import (
     EvalConfig,
-    EvalReport,
     coreset_herding,
     coreset_kcenter,
     coreset_random,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +28,8 @@ from .pipeline import (
     PipelineConfig,
     SbmSpec,
     evaluate_condensed,
-    evaluation_gcn,
     generate_sbm,
     report_block,
-    representation_fid,
     resolve_synthetic_size,
     run_pipeline,
 )
@@ -107,6 +105,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
 def _load_pair(args: argparse.Namespace):
     """The config, dataset and condensed graph; refuses a graph whose K or d differs."""
     cfg = _build_config(args)
+    cfg.validate()
     dataset = load_dataset(args.dataset_dir)
     condensed = load_condensed(args.condensed_dir)
     for name, condensed_value, dataset_value in (
@@ -121,25 +120,29 @@ def _load_pair(args: argparse.Namespace):
     return cfg, dataset, condensed
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg, dataset, condensed = _load_pair(args)
-    _, accs = evaluate_condensed(dataset, condensed, cfg)
-    accs = np.array(accs)
+def _print_accuracies(accuracies: list[float]) -> None:
+    accs = np.array(accuracies)
     print(f"accuracy_mean = {accs.mean():.6g}")
     print(f"accuracy_std = {accs.std():.6g}")
+
+
+def _cmd_evaluate(args: argparse.Namespace) -> int:
+    cfg, dataset, condensed = _load_pair(args)
+    _print_accuracies(evaluate_condensed(dataset, condensed, cfg)[0])
     return 0
 
 
 def _cmd_fid(args: argparse.Namespace) -> int:
     cfg, dataset, condensed = _load_pair(args)
-    params = evaluation_gcn(dataset, condensed, cfg)
-    value = representation_fid(params, dataset, condensed, cfg.fid_normalize)
+    # the FID reads only the first evaluation GCN
+    _, value = evaluate_condensed(dataset, condensed, replace(cfg, eval_repeats=1))
     print(f"fid = {value:.6g}")
     return 0
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
+    cfg.validate()
     dataset = load_dataset(args.dataset_dir)
     a_norm = normalized_adjacency(dataset.graph)
     Z = gls_propagate(a_norm, dataset.features, PropagationConfig(cfg.alpha, cfg.T))
@@ -160,11 +163,9 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     )
     if args.out_dir is not None:
         save_condensed(condensed, args.out_dir)
-    _, accs = evaluate_condensed(dataset, condensed, cfg)
-    accs = np.array(accs)
+    accuracies, _ = evaluate_condensed(dataset, condensed, cfg)
     print(f"method = {args.method}")
-    print(f"accuracy_mean = {accs.mean():.6g}")
-    print(f"accuracy_std = {accs.std():.6g}")
+    _print_accuracies(accuracies)
     return 0
 
 

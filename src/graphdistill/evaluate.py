@@ -27,6 +27,8 @@ from .model import (
     softmax_cross_entropy,
 )
 
+MODEL_SELECTIONS = ("final", "best_val")
+
 
 @dataclass
 class EvalConfig:
@@ -36,20 +38,12 @@ class EvalConfig:
     hidden_dim: int = 256
     dropout: float = 0.5
     optimizer: str = "adam"
-    model_selection: str = "final"  # or "best_val", which needs the dataset
+    model_selection: str = "final"  # or "best_val", which needs validation logits
 
     def __post_init__(self) -> None:
-        if self.model_selection not in ("final", "best_val"):
-            raise ValueError(
-                f"model_selection must be 'final' or 'best_val', not {self.model_selection!r}"
-            )
-
-
-@dataclass
-class EvalReport:
-    test_accuracy: float
-    per_seed: list[float]
-    std: float
+        if self.model_selection not in MODEL_SELECTIONS:
+            allowed = " or ".join(map(repr, MODEL_SELECTIONS))
+            raise ValueError(f"model_selection must be {allowed}, not {self.model_selection!r}")
 
 
 def renormalized_adjacency(A: np.ndarray | SparseGraph) -> np.ndarray | sp.csr_matrix:
@@ -68,18 +62,12 @@ def renormalized_adjacency(A: np.ndarray | SparseGraph) -> np.ndarray | sp.csr_m
 
 
 def gcn_forward(
-    params: ClassifierParams,
-    a_hat: np.ndarray | sp.csr_matrix,
-    X: np.ndarray,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
+    params: ClassifierParams, a_hat: np.ndarray | sp.csr_matrix, X: np.ndarray
 ) -> np.ndarray:
-    """GCN logits Â relu(Â X W1 + b1) W2 + b2 of a depth-2 head's (W, b).
+    """Eval-mode GCN logits Â relu(Â X W1 + b1) W2 + b2 of a depth-2 head's (W, b).
 
-    Eval mode runs W1 in row blocks.
+    W1 runs in row blocks.
     """
-    if train_mode:
-        return _gcn_forward_cache(params, a_hat, X, train_mode, rng)[0]
     h1 = relu_layers(a_hat @ X, params.weights[:1], params.biases[:1])
     # Â multiplies the K-wide product, not the hidden_dim-wide h1
     return a_hat @ (h1 @ params.weights[1]) + params.biases[1]
@@ -111,20 +99,20 @@ def _gcn_backward(params, a_hat, cache, dlogits):
     return d_w1, d_b1, d_w2, d_b2
 
 
-def _validation_logits(dataset: Dataset):
+def _validation_logits(dataset: Dataset, a_hat: sp.csr_matrix):
     """GCN logits on the validation rows of the original graph, as a function.
 
-    Returns (logits, labels): logits(params) gives the validation rows of a
-    full-graph forward, and labels are those rows' classes. Only rows the
-    validation logits depend on are computed: Â·X on the rows that the
-    validation rows of Â touch, once, then per call the first layer on
-    those rows, in row blocks into one buffer that every call reuses, and
-    the second layer on the validation rows.
+    a_hat is the renormalized adjacency of dataset.graph. Returns (logits,
+    labels): logits(params) gives the validation rows of a full-graph
+    forward, and labels are those rows' classes. Only rows the validation
+    logits depend on are computed: Â·X on the rows that the validation rows
+    of Â touch, once, then per call the first layer on those rows, in row
+    blocks into one buffer that every call reuses, and the second layer on
+    the validation rows.
     """
     val_idx = np.flatnonzero(dataset.val_mask)
     if val_idx.size == 0:
         raise ValueError("best_val selection needs a nonempty validation set")
-    a_hat = renormalized_adjacency(dataset.graph)
     a_val = a_hat[val_idx]
     touched = np.flatnonzero(a_val.getnnz(axis=0))
     a_val = a_val[:, touched]
@@ -143,33 +131,32 @@ def train_eval_gcn(
     condensed: CondensedGraph,
     cfg: EvalConfig,
     seed: int,
-    dataset: Dataset | None = None,
+    a_hat: np.ndarray,
+    validation: tuple | None = None,
 ) -> ClassifierParams:
     """Train a GCN on the condensed triple; every synthetic node is labeled.
 
-    The GCN's two layers are a depth-2 head's (W, b). model_selection
-    "best_val" tracks validation accuracy on the original dataset, which it
-    then needs, and keeps the best epoch; "final" returns the last epoch.
-    The validation score reads only the validation rows: Â·X of the
-    original graph is computed once, and each epoch runs the first layer on
-    the rows that the validation rows of Â touch and the second layer on
-    the validation rows, which gives the same logits as a full-graph
-    forward. "best_val" raises ValueError on an empty validation set.
+    The GCN's two layers are a depth-2 head's (W, b). a_hat is Â′, the
+    renormalized adjacency of condensed.a_prime. model_selection
+    "best_val" tracks validation accuracy on the original dataset and keeps
+    the best epoch; "final" returns the last epoch. "best_val" needs
+    validation, the (logits, labels) pair that _validation_logits returns,
+    which scores only the validation rows and gives the same logits as a
+    full-graph forward.
     """
+    if cfg.model_selection == "best_val":
+        if validation is None:
+            raise ValueError("best_val selection needs the original dataset's validation logits")
+        val_logits, val_labels = validation
     rng = np.random.default_rng(seed)
     params = init_classifier(
         rng, condensed.x_prime.shape[1], condensed.num_classes, depth=2,
         hidden_dim=cfg.hidden_dim, dropout_rate=cfg.dropout,
     )
-    a_hat = renormalized_adjacency(condensed.a_prime)
     labels = condensed.labels
     step = optimizer_step(cfg.optimizer, params.weights + params.biases)
 
     best_params, best_val = None, -1.0
-    if cfg.model_selection == "best_val":
-        if dataset is None:
-            raise ValueError("best_val selection needs the original dataset")
-        val_logits, val_labels = _validation_logits(dataset)
 
     # Â' and X' stay fixed during training, so Â' X' is formed once
     ax = a_hat @ condensed.x_prime
@@ -191,29 +178,33 @@ def train_eval_gcn(
     return params if best_params is None else best_params
 
 
-def evaluate_on_original(
-    params: ClassifierParams, dataset: Dataset, inductive: bool = False
-) -> float:
-    """Test accuracy of a trained GCN on the original graph.
+def inductive_graph(dataset: Dataset) -> SparseGraph:
+    """The subgraph induced by the test nodes, in test-id order."""
+    idx = np.flatnonzero(dataset.test_mask)
+    sub = dataset.graph.to_scipy()[idx][:, idx].tocoo()
+    keep = sub.row < sub.col
+    edges = np.column_stack([sub.row[keep], sub.col[keep]])
+    return SparseGraph.from_edges(idx.shape[0], edges)
 
-    The inductive path restricts the forward pass to the subgraph induced
-    by the test nodes; the default transductive path uses the full graph.
+
+def evaluate_on_original(
+    params: ClassifierParams,
+    dataset: Dataset,
+    a_hat: sp.csr_matrix,
+    inductive: bool = False,
+) -> tuple[float, np.ndarray]:
+    """Test accuracy of a trained GCN on the original graph, and its logits.
+
+    The default transductive forward runs over the full graph, and a_hat is
+    the renormalized adjacency of dataset.graph. The inductive forward runs
+    over the test nodes alone, and a_hat is that of inductive_graph(dataset).
     """
-    if inductive:
-        idx = np.flatnonzero(dataset.test_mask)
-        sub = dataset.graph.to_scipy()[idx][:, idx].tocoo()
-        keep = sub.row < sub.col
-        edges = np.column_stack([sub.row[keep], sub.col[keep]])
-        graph = SparseGraph.from_edges(idx.shape[0], edges)
-        a_hat = renormalized_adjacency(graph)
-        logits = gcn_forward(params, a_hat, dataset.features[idx])
-        pred = np.argmax(logits, axis=1)
-        return float(np.mean(pred == dataset.labels[idx]))
-    a_hat = renormalized_adjacency(dataset.graph)
-    logits = gcn_forward(params, a_hat, dataset.features)
+    idx = np.flatnonzero(dataset.test_mask)
+    features = dataset.features[idx] if inductive else dataset.features
+    logits = gcn_forward(params, a_hat, features)
     pred = np.argmax(logits, axis=1)
-    mask = dataset.test_mask
-    return float(np.mean(pred[mask] == dataset.labels[mask]))
+    test_pred = pred if inductive else pred[idx]
+    return float(np.mean(test_pred == dataset.labels[idx])), logits
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,8 @@ def trace_sqrt_product(sigma_a: np.ndarray, sigma_b: np.ndarray) -> float:
     return float(np.sum(np.sqrt(w)))
 
 
-def fid(stats_a: GaussianStats, stats_b: GaussianStats) -> float:
-    """Frechet distance between two moment pairs; tiny negatives clamp to 0."""
+def fid_terms(stats_a: GaussianStats, stats_b: GaussianStats) -> tuple[float, float]:
+    """The Frechet distance's mean term ||mu_a - mu_b||^2 and trace term."""
     if stats_a.mu.shape != stats_b.mu.shape:
         raise ValueError("dimension mismatch")
     mean_term = float(np.sum((stats_a.mu - stats_b.mu) ** 2))
@@ -83,6 +83,12 @@ def fid(stats_a: GaussianStats, stats_b: GaussianStats) -> float:
         + float(np.trace(stats_b.sigma))
         - 2.0 * trace_sqrt_product(stats_a.sigma, stats_b.sigma)
     )
+    return mean_term, trace_term
+
+
+def fid(stats_a: GaussianStats, stats_b: GaussianStats) -> float:
+    """Frechet distance between two moment pairs; tiny negatives clamp to 0."""
+    mean_term, trace_term = fid_terms(stats_a, stats_b)
     value = mean_term + trace_term
     if value < 0.0:
         if value < -PSD_TOL:

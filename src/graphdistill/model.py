@@ -176,15 +176,8 @@ def forward_cache(
     return h, {"inputs": inputs, "dropout_rate": p}
 
 
-def forward(
-    params: ClassifierParams,
-    Z: np.ndarray,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Logits of the head; eval mode runs the hidden layers in row blocks."""
-    if train_mode:
-        return forward_cache(params, Z, train_mode, rng)[0]
+def forward(params: ClassifierParams, Z: np.ndarray) -> np.ndarray:
+    """Eval-mode logits of the head; the hidden layers run in row blocks."""
     h = np.asarray(Z, dtype=np.float64)
     if params.depth > 1:
         h = relu_layers(h, params.weights[:-1], params.biases[:-1])
@@ -295,6 +288,9 @@ class AdamState:
             den += eps
             num /= den
             x -= num
+
+
+OPTIMIZERS = ("adam", "gd")
 
 
 def optimizer_step(

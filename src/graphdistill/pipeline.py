@@ -25,10 +25,12 @@ from .condense import (
 )
 from .dataio import config_hash
 from .evaluate import (
+    MODEL_SELECTIONS,
     EvalConfig,
-    EvalReport,
+    _validation_logits,
     evaluate_on_original,
     gcn_forward,
+    inductive_graph,
     renormalized_adjacency,
     train_eval_gcn,
 )
@@ -36,8 +38,8 @@ from .fid import (
     cluster_size_variance_bound,
     covariance_gap_bound,
     fid,
+    fid_terms,
     gaussian_stats,
-    trace_sqrt_product,
 )
 from .graph import (
     Dataset,
@@ -50,6 +52,7 @@ from .graph import (
 )
 from .propagate import PropagationConfig, gls_propagate
 from .refine import (
+    WEIGHTINGS,
     RefineConfig,
     condense_class_graphs,
     cosine_degrees,
@@ -61,6 +64,17 @@ from .refine import (
 
 class PipelineError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
+
+
+# The allowed values of each config field that names a choice.
+CHOICES = {
+    "pretrain_optimizer": model.OPTIMIZERS,
+    "refine_optimizer": model.OPTIMIZERS,
+    "eval_optimizer": model.OPTIMIZERS,
+    "ratio_base": ("all", "train"),
+    "model_selection": MODEL_SELECTIONS,
+    "class_graph_weighting": WEIGHTINGS,
+}
 
 
 @dataclass
@@ -133,12 +147,22 @@ class PipelineConfig:
     def hash(self) -> str:
         return config_hash(self.to_dict())
 
+    def validate(self) -> None:
+        """Raise ValueError on a value outside CHOICES or eval_repeats < 1."""
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                names = " or ".join(map(repr, allowed))
+                raise ValueError(f"{name} must be {names}, not {value!r}")
+        if self.eval_repeats < 1:
+            raise ValueError(f"eval_repeats must be at least 1, not {self.eval_repeats}")
+
 
 @dataclass
 class PipelineResult:
     condensed: CondensedGraph
-    eval_report: EvalReport
-    metrics: dict
+    accuracies: list[float]  # test accuracy of each evaluation GCN
+    metrics: dict  # in the order report_block prints
     stage_seconds: dict
 
 
@@ -153,8 +177,6 @@ def _stage(name: str, timings: dict):
 
 
 def resolve_synthetic_size(cfg: PipelineConfig, dataset: Dataset) -> int:
-    if cfg.ratio_base not in ("all", "train"):
-        raise ValueError(f"ratio_base must be 'all' or 'train', not {cfg.ratio_base!r}")
     base = (
         int(dataset.train_mask.sum()) if cfg.ratio_base == "train" else dataset.num_nodes
     )
@@ -175,10 +197,19 @@ def stage_seeds(seed: int) -> tuple[int, int, int, int, int, int]:
     return tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(6))
 
 
-def evaluation_gcn(
-    dataset: Dataset, condensed: CondensedGraph, cfg: PipelineConfig, repeat: int = 0
-) -> model.ClassifierParams:
-    """Train the evaluation GCN of one repeat, exactly as run_pipeline does."""
+def evaluate_condensed(
+    dataset: Dataset, condensed: CondensedGraph, cfg: PipelineConfig
+) -> tuple[list[float], float]:
+    """Test accuracies of cfg.eval_repeats evaluation GCNs, and the FID of the first.
+
+    Every command scores a condensed graph here. The renormalized
+    adjacencies are formed once each: Â of the original graph, Â of its
+    test-induced subgraph when cfg.inductive, and Â′. Repeat r seeds its
+    GCN with the evaluation stream seed plus r. The FID compares GCN 0's
+    logits on the original graph, which its transductive test forward has
+    already computed, with its logits on the condensed graph.
+    """
+    cfg.validate()
     ecfg = EvalConfig(
         epochs=cfg.eval_epochs,
         learning_rate=cfg.eval_lr,
@@ -188,40 +219,28 @@ def evaluation_gcn(
         optimizer=cfg.eval_optimizer,
         model_selection=cfg.model_selection,
     )
-    return train_eval_gcn(
-        condensed,
-        ecfg,
-        seed=stage_seeds(cfg.seed)[5] + repeat,
-        dataset=dataset,
-    )
-
-
-def evaluate_condensed(
-    dataset: Dataset, condensed: CondensedGraph, cfg: PipelineConfig
-) -> tuple[model.ClassifierParams | None, list[float]]:
-    """Test accuracies of cfg.eval_repeats evaluation GCNs, plus the first GCN."""
-    first_params = None
+    seed = stage_seeds(cfg.seed)[5]
+    a_org = renormalized_adjacency(dataset.graph)
+    a_test = renormalized_adjacency(inductive_graph(dataset)) if cfg.inductive else a_org
+    a_syn = renormalized_adjacency(condensed.a_prime)
     accuracies = []
     for r in range(cfg.eval_repeats):
-        gcn = evaluation_gcn(dataset, condensed, cfg, r)
-        if first_params is None:
-            first_params = gcn
-        accuracies.append(evaluate_on_original(gcn, dataset, inductive=cfg.inductive))
-    return first_params, accuracies
-
-
-def representation_fid(
-    params: model.ClassifierParams, dataset: Dataset, condensed: CondensedGraph, normalize: bool
-) -> float:
-    """FID between the GCN outputs on the original and the condensed graph."""
-    h_org = gcn_forward(params, renormalized_adjacency(dataset.graph), dataset.features)
-    h_syn = gcn_forward(
-        params, renormalized_adjacency(condensed.a_prime), condensed.x_prime
-    )
-    return fid(
-        gaussian_stats(h_org, normalize=normalize),
-        gaussian_stats(h_syn, normalize=normalize),
-    )
+        # the validation logits are formed per training, so that their
+        # buffers are freed before the test forward
+        gcn = train_eval_gcn(
+            condensed, ecfg, seed + r, a_syn,
+            _validation_logits(dataset, a_org) if cfg.model_selection == "best_val" else None,
+        )
+        accuracy, logits = evaluate_on_original(gcn, dataset, a_test, cfg.inductive)
+        accuracies.append(accuracy)
+        if r == 0:
+            h_org = gcn_forward(gcn, a_org, dataset.features) if cfg.inductive else logits
+            h_syn = gcn_forward(gcn, a_syn, condensed.x_prime)
+            fid_score = fid(
+                gaussian_stats(h_org, normalize=cfg.fid_normalize),
+                gaussian_stats(h_syn, normalize=cfg.fid_normalize),
+            )
+    return accuracies, fid_score
 
 
 def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
@@ -231,6 +250,7 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
     )
 
     with _stage("propagate", timings):
+        cfg.validate()
         a_norm = normalized_adjacency(dataset.graph)
         Z = gls_propagate(
             a_norm, dataset.features, PropagationConfig(cfg.alpha, cfg.T)
@@ -340,20 +360,15 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
             condensed.a_prime = np.eye(n)
 
     with _stage("evaluate", timings):
-        first_params, accuracies = evaluate_condensed(dataset, condensed, cfg)
+        accuracies, fid_score = evaluate_condensed(dataset, condensed, cfg)
 
     with _stage("metrics", timings):
         h_norm = normalize_rows(H)
         h_prime_norm = cluster_means(clustering, h_norm)
         stats_org = gaussian_stats(h_norm, normalize=False)
         stats_syn = gaussian_stats(h_prime_norm, normalize=False)
-        mean_shift = float(np.sum((stats_org.mu - stats_syn.mu) ** 2))
+        mean_shift, t2_lhs = fid_terms(stats_org, stats_syn)
         t1 = cluster_size_variance_bound(clustering)
-        t2_lhs = (
-            float(np.trace(stats_org.sigma))
-            + float(np.trace(stats_syn.sigma))
-            - 2.0 * trace_sqrt_product(stats_org.sigma, stats_syn.sigma)
-        )
         t2_rhs = covariance_gap_bound(
             h_norm, h_prime_norm, clustering, stats_org, mean_shift
         )
@@ -368,10 +383,6 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
         icad_before = _icad_or_nan(x_before)
         icad_after = _icad_or_nan(condensed.x_prime)
 
-        fid_score = representation_fid(
-            first_params, dataset, condensed, cfg.fid_normalize
-        )
-
     acc = np.array(accuracies)
     metrics = {
         "fid": fid_score,
@@ -385,28 +396,12 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
     }
     for key, value in metrics.items():
         condensed.meta.setdefault(key, float(value))
-    report = EvalReport(
-        test_accuracy=float(acc.mean()),
-        per_seed=[float(a) for a in accuracies],
-        std=float(acc.std()),
-    )
-    return PipelineResult(condensed, report, metrics, timings)
+    return PipelineResult(condensed, accuracies, metrics, timings)
 
 
 def report_block(result: PipelineResult) -> str:
     """Flat key = value metric block, one line per key."""
-    lines = []
-    for key in (
-        "fid",
-        "theorem1_bound",
-        "theorem2_lhs",
-        "theorem2_rhs",
-        "icad_before",
-        "icad_after",
-        "accuracy_mean",
-        "accuracy_std",
-    ):
-        lines.append(f"{key} = {format(result.metrics[key], '.6g')}")
+    lines = [f"{key} = {format(value, '.6g')}" for key, value in result.metrics.items()]
     lines.append(f"runtime_total_s = {format(sum(result.stage_seconds.values()), '.6g')}")
     per_stage = ",".join(
         f"{name}:{format(seconds, '.4g')}"

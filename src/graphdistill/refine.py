@@ -99,6 +99,9 @@ def class_edge_weights(
     return P[e[:, 0], class_id] * P[e[:, 1], class_id] * resistance
 
 
+WEIGHTINGS = ("adjacency", "score")
+
+
 def sample_class_graphs(
     a_norm: SparseGraph,
     P: np.ndarray,
@@ -114,8 +117,8 @@ def sample_class_graphs(
     """
     if not 0.0 < rho <= 1.0:
         raise GraphError("rho must lie in (0, 1]")
-    if weighting not in ("adjacency", "score"):
-        raise ValueError("weighting must be 'adjacency' or 'score'")
+    if weighting not in WEIGHTINGS:
+        raise ValueError(f"weighting must be {' or '.join(map(repr, WEIGHTINGS))}")
     e = a_norm.undirected_edges()
     vals = a_norm.edge_values()
     M = e.shape[0]

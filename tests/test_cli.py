@@ -85,9 +85,14 @@ def test_report_matches_distill_metrics(tmp_path, capsys):
 
 def test_evaluate_and_fid_on_saved_condensed(tmp_path, capsys):
     data_dir = _gen(tmp_path)
-    for selection in ("final", "best_val"):
-        flags = FAST_FLAGS + ["--model_selection", selection]
-        cond_dir = tmp_path / f"cond-{selection}"
+    # the inductive FID needs a full-graph forward of its own
+    for flag, value in (
+        ("--model_selection", "final"),
+        ("--model_selection", "best_val"),
+        ("--inductive", "true"),
+    ):
+        flags = FAST_FLAGS + [flag, value]
+        cond_dir = tmp_path / f"cond-{flag[2:]}-{value}"
         rc = main(
             ["distill", "--dataset-dir", str(data_dir), "--out-dir", str(cond_dir)]
             + flags
@@ -191,6 +196,25 @@ def test_misspelled_choice_exits_with_one_line(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: stage ") and f"{flag[2:]} must be" in err
+
+
+def test_eval_repeats_below_one_exits_with_one_line(tmp_path, capsys):
+    data_dir = _gen(tmp_path)
+    cond_dir = tmp_path / "cond"
+    rc = main(["distill", "--dataset-dir", str(data_dir), "--out-dir", str(cond_dir)] + FAST_FLAGS)
+    assert rc == 0
+    for command in (
+        ["distill", "--dataset-dir", str(data_dir)],
+        ["evaluate", "--dataset-dir", str(data_dir), "--condensed-dir", str(cond_dir)],
+        ["fid", "--dataset-dir", str(data_dir), "--condensed-dir", str(cond_dir)],
+    ):
+        capsys.readouterr()
+        rc = main(command + FAST_FLAGS + ["--eval_repeats", "0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "eval_repeats must be at least 1, not 0" in captured.err
 
 
 def test_evaluate_refuses_malformed_condensed_dir(tmp_path, capsys):

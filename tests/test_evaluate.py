@@ -14,6 +14,7 @@ from graphdistill.evaluate import (
     coreset_random,
     evaluate_on_original,
     gcn_forward,
+    inductive_graph,
     renormalized_adjacency,
     train_eval_gcn,
 )
@@ -114,7 +115,7 @@ def test_gcn_forward_matches_layer_by_layer_products():
         got = gcn_forward(params, a_hat, x)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         # training mode draws one dropout mask over h1 from the given stream
-        got = gcn_forward(params, a_hat, x, train_mode=True, rng=np.random.default_rng(5))
+        got = _gcn_forward_cache(params, a_hat, x, True, np.random.default_rng(5))[0]
         keep = np.random.default_rng(5).random((40, 32)) >= params.dropout_rate
         want = _gcn_reference(params, a_hat, x, keep / (1.0 - params.dropout_rate))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -156,6 +157,16 @@ def test_gcn_gradients_match_finite_differences():
         assert rel <= 1e-4
 
 
+def _a_hat(condensed):
+    """Â′, which train_eval_gcn takes from its caller."""
+    return renormalized_adjacency(condensed.a_prime)
+
+
+def _validation(dataset):
+    """best_val's validation logits, on Â of the original graph."""
+    return _validation_logits(dataset, renormalized_adjacency(dataset.graph))
+
+
 def _separable_condensed(rng, per=4, sep=6.0):
     x = np.vstack(
         [
@@ -174,8 +185,8 @@ def test_gcn_trained_on_condensed_classifies_original():
     condensed = _separable_condensed(rng)
     dataset = _toy_dataset(rng)
     cfg = EvalConfig(epochs=200, hidden_dim=16, dropout=0.0, optimizer="adam")
-    params = train_eval_gcn(condensed, cfg, seed=0)
-    acc = evaluate_on_original(params, dataset)
+    params = train_eval_gcn(condensed, cfg, seed=0, a_hat=_a_hat(condensed))
+    acc, _ = evaluate_on_original(params, dataset, renormalized_adjacency(dataset.graph))
     assert acc >= 0.9
 
 
@@ -183,8 +194,8 @@ def test_eval_training_is_deterministic():
     rng = np.random.default_rng(5)
     condensed = _separable_condensed(rng)
     cfg = EvalConfig(epochs=30, hidden_dim=8, dropout=0.5)
-    a = train_eval_gcn(condensed, cfg, seed=7)
-    b = train_eval_gcn(condensed, cfg, seed=7)
+    a = train_eval_gcn(condensed, cfg, seed=7, a_hat=_a_hat(condensed))
+    b = train_eval_gcn(condensed, cfg, seed=7, a_hat=_a_hat(condensed))
     assert np.array_equal(a.weights[0], b.weights[0])
     assert np.array_equal(a.weights[1], b.weights[1])
 
@@ -194,9 +205,9 @@ def test_best_val_selection_requires_dataset():
     condensed = _separable_condensed(rng)
     cfg = EvalConfig(epochs=5, hidden_dim=8, model_selection="best_val")
     with pytest.raises(ValueError, match="dataset"):
-        train_eval_gcn(condensed, cfg, seed=0)
+        train_eval_gcn(condensed, cfg, seed=0, a_hat=_a_hat(condensed))
     dataset = _toy_dataset(rng)
-    params = train_eval_gcn(condensed, cfg, seed=0, dataset=dataset)
+    params = train_eval_gcn(condensed, cfg, 0, _a_hat(condensed), _validation(dataset))
     assert params.weights[0].shape == (3, 8)
 
 
@@ -207,7 +218,7 @@ def test_best_val_refuses_empty_validation_set():
     dataset.val_mask = np.zeros_like(dataset.val_mask)
     cfg = EvalConfig(epochs=5, hidden_dim=8, model_selection="best_val")
     with pytest.raises(ValueError, match="nonempty validation set"):
-        train_eval_gcn(condensed, cfg, seed=0, dataset=dataset)
+        train_eval_gcn(condensed, cfg, 0, _a_hat(condensed), _validation(dataset))
 
 
 def _best_val_reference(condensed, cfg, seed, dataset):
@@ -255,7 +266,7 @@ def test_best_val_matches_full_graph_scoring():
             y @ np.eye(K, d) + 0.5 * rng.standard_normal((n, d)), 0.5 * (m + m.T), y
         )
         cfg = EvalConfig(epochs=40, hidden_dim=8, dropout=0.5, model_selection="best_val")
-        got = train_eval_gcn(condensed, cfg, seed=seed, dataset=dataset)
+        got = train_eval_gcn(condensed, cfg, seed, _a_hat(condensed), _validation(dataset))
         want = _best_val_reference(condensed, cfg, seed, dataset)
         for g, w in zip(got.weights + got.biases, want.weights + want.biases):
             assert np.array_equal(g, w)
@@ -271,9 +282,11 @@ def test_inductive_equals_transductive_without_test_edges():
     masks[0, :6], masks[1, 6:8], masks[2, 8:] = True, True, True
     ds = Dataset(graph, feats, labels, masks[0], masks[1], masks[2], 2, "edgeless")
     params = init_classifier(rng, 3, 2, depth=2, hidden_dim=6, dropout_rate=0.0)
-    assert evaluate_on_original(params, ds, inductive=False) == pytest.approx(
-        evaluate_on_original(params, ds, inductive=True)
+    transductive, _ = evaluate_on_original(params, ds, renormalized_adjacency(ds.graph))
+    inductive, _ = evaluate_on_original(
+        params, ds, renormalized_adjacency(inductive_graph(ds)), inductive=True
     )
+    assert transductive == pytest.approx(inductive)
 
 
 def test_quota_arithmetic():
@@ -426,8 +439,8 @@ def test_validation_logits_match_whole_matrix_reference_bitwise():
         graph, x, rng.integers(0, 4, size=N),
         tokens == "train", tokens == "val", tokens == "test", 4,
     )
-    logits, labels = _validation_logits(dataset)
     a_hat = renormalized_adjacency(graph)
+    logits, labels = _validation_logits(dataset, a_hat)
     val_idx = np.flatnonzero(dataset.val_mask)
     a_val = a_hat[val_idx]
     touched = np.flatnonzero(a_val.getnnz(axis=0))
@@ -527,7 +540,7 @@ def _train_eval_gcn_reference(condensed, cfg, seed, dataset):
     step = optimizer_step(cfg.optimizer, [w1, b1, w2, b2])
     want_val = cfg.model_selection == "best_val"
     if want_val:
-        val_logits, val_labels = _validation_logits(dataset)
+        val_logits, val_labels = _validation(dataset)
     best, best_val = None, -1.0
     for _ in range(cfg.epochs):
         logits, cache = _gcn_cache_reference(head, a_hat, condensed.x_prime, True, rng)
@@ -567,7 +580,7 @@ def test_train_eval_gcn_matches_loose_tensor_trainer_bitwise(model_selection, op
             epochs=30, hidden_dim=16, dropout=0.5, learning_rate=0.05,
             optimizer=optimizer, model_selection=model_selection,
         )
-        got = train_eval_gcn(condensed, cfg, seed=seed, dataset=dataset)
+        got = train_eval_gcn(condensed, cfg, seed, _a_hat(condensed), _validation(dataset))
         want = _train_eval_gcn_reference(condensed, cfg, seed, dataset)
         (w1, w2), (b1, b2) = got.weights, got.biases
         for g, w in zip((w1, b1, w2, b2), want):

@@ -6,13 +6,24 @@ other test. Its self-test runs a tiny traced and untraced distill, and the
 tracer skips a target it cannot find, so each target is also looked up here.
 """
 
+import importlib
 import importlib.util
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# (module, function, index, name) of each parameter that a span reads from
+# the call's positional arguments; after a move the span would read another
+# argument, and a metric such as evaluate.full_graph_forwards would read 0.
+POSITIONAL_READS = [
+    ("model", "backward", 2, "dlogits"),
+    ("refine", "refine_loss_and_grads", 3, "x_prime"),
+    ("evaluate", "gcn_forward", 1, "a_hat"),
+]
 
 
 def test_perfbench_selftest_passes():
@@ -31,3 +42,13 @@ def test_every_span_target_resolves_to_a_function():
     spec.loader.exec_module(spans)
     for owner, attr, name, _ in spans._targets():
         assert inspect.isfunction(getattr(owner, attr, None)), name
+
+
+def test_parameters_read_by_position_stay_in_place():
+    source = (ROOT / "perfbench" / "spans.py").read_text()
+    reads = set(re.findall(r'_arg\(\w+, \w+, (\d+), "(\w+)"\)', source))
+    assert reads == {(str(index), name) for _, _, index, name in POSITIONAL_READS}
+    for module, function, index, name in POSITIONAL_READS:
+        fn = getattr(importlib.import_module(f"graphdistill.{module}"), function)
+        params = list(inspect.signature(fn).parameters)
+        assert params[index : index + 1] == [name], f"{module}.{function}{params}"

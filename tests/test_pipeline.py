@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphdistill import evaluate, pipeline
 from graphdistill.graph import GraphError, homophily_ratio
 from graphdistill.pipeline import (
     PipelineConfig,
@@ -161,7 +162,7 @@ def test_pipeline_end_to_end_metrics_and_stages():
         result.metrics["theorem2_lhs"]
         <= result.metrics["theorem2_rhs"] + 1e-10
     )
-    assert len(result.eval_report.per_seed) == 2
+    assert len(result.accuracies) == 2
 
 
 def test_pipeline_is_deterministic():
@@ -208,14 +209,55 @@ def test_best_val_without_validation_rows_fails_in_evaluate():
         run_pipeline(ds, _fast_config(model_selection="best_val"))
 
 
+@pytest.fixture
+def stage_times(monkeypatch):
+    """The dict that every run_pipeline stage records its time into."""
+    recorded = {}
+    real_stage = pipeline._stage
+    monkeypatch.setattr(pipeline, "_stage", lambda name, timings: real_stage(name, recorded))
+    return recorded
+
+
 @pytest.mark.parametrize(
-    "field, value, stage",
-    [("model_selection", "best-val", "evaluate"), ("ratio_base", "Train", "cluster")],
+    "field, value",
+    [
+        ("model_selection", "best-val"),
+        ("ratio_base", "Train"),
+        ("eval_optimizer", "Adam"),
+        ("class_graph_weighting", "Score"),
+    ],
 )
-def test_misspelled_choice_is_refused(field, value, stage):
+def test_misspelled_choice_is_refused(field, value, stage_times):
     ds = _small_sbm(0)
-    with pytest.raises(PipelineError, match=rf"stage '{stage}' failed: {field} must be"):
-        run_pipeline(ds, _fast_config(**{field: value, "E3": 2}))
+    with pytest.raises(PipelineError, match=rf"stage 'propagate' failed: {field} must be"):
+        run_pipeline(ds, _fast_config(**{field: value}))
+    assert stage_times == {}
+
+
+def test_eval_repeats_below_one_is_refused(stage_times):
+    ds = _small_sbm(0)
+    with pytest.raises(
+        PipelineError, match="stage 'propagate' failed: eval_repeats must be at least 1, not 0"
+    ):
+        run_pipeline(ds, _fast_config(eval_repeats=0))
+    assert stage_times == {}
+
+
+def test_best_val_run_renormalizes_the_original_graph_once(monkeypatch):
+    ds = _small_sbm(0)
+    calls = []
+    real = evaluate.renormalized_adjacency
+
+    def counting(A):
+        calls.append(A is ds.graph)
+        return real(A)
+
+    for module in (evaluate, pipeline):
+        monkeypatch.setattr(module, "renormalized_adjacency", counting)
+    cfg = _fast_config(model_selection="best_val", eval_repeats=3)
+    assert PipelineConfig().eval_repeats == 3
+    run_pipeline(ds, cfg)
+    assert sum(calls) == 1
 
 
 def test_report_block_format():
