@@ -9,7 +9,6 @@ from .condense import (
 )
 from .dataio import load_condensed, load_dataset, save_condensed, save_dataset
 from .evaluate import (
-    EvalConfig,
     coreset_herding,
     coreset_kcenter,
     coreset_random,
@@ -58,7 +57,6 @@ from .pipeline import (
 from .propagate import PropagationConfig, SolverError, gls_propagate, gls_solve_exact
 from .refine import (
     ClassGraphSet,
-    RefineConfig,
     RefineResult,
     class_edge_weights,
     condense_class_graphs,

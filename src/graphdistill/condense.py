@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .cluster import Clustering, cluster_means, sketching_matrices
 from .graph import SparseGraph
@@ -48,11 +49,16 @@ class CondensedGraph:
             raise ValueError("Y' must be one-hot")
 
 
-def condense_adjacency(clustering: Clustering, a_norm: SparseGraph) -> np.ndarray:
-    """A' = C_norm^T A_norm C_norm, densified and numerically symmetrized."""
-    _, c_norm = sketching_matrices(clustering)
-    m = (c_norm.T @ (a_norm.to_scipy() @ c_norm)).toarray()
+def compress_adjacency(c_norm: sp.csr_matrix, a: sp.csr_matrix) -> np.ndarray:
+    """C_norm^T A C_norm, densified and numerically symmetrized."""
+    m = (c_norm.T @ (a @ c_norm)).toarray()
     return 0.5 * (m + m.T)
+
+
+def condense_adjacency(clustering: Clustering, a_norm: SparseGraph) -> np.ndarray:
+    """A' = C_norm^T A_norm C_norm through compress_adjacency."""
+    _, c_norm = sketching_matrices(clustering)
+    return compress_adjacency(c_norm, a_norm.to_scipy())
 
 
 def condense_labels(

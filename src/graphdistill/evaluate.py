@@ -8,7 +8,7 @@ D^{-1/2} (A + I) D^{-1/2} before use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,23 +27,10 @@ from .model import (
     softmax_cross_entropy,
 )
 
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
+
 MODEL_SELECTIONS = ("final", "best_val")
-
-
-@dataclass
-class EvalConfig:
-    epochs: int = 600
-    learning_rate: float = 0.01
-    weight_decay: float = 1e-5
-    hidden_dim: int = 256
-    dropout: float = 0.5
-    optimizer: str = "adam"
-    model_selection: str = "final"  # or "best_val", which needs validation logits
-
-    def __post_init__(self) -> None:
-        if self.model_selection not in MODEL_SELECTIONS:
-            allowed = " or ".join(map(repr, MODEL_SELECTIONS))
-            raise ValueError(f"model_selection must be {allowed}, not {self.model_selection!r}")
 
 
 def renormalized_adjacency(A: np.ndarray | SparseGraph) -> np.ndarray | sp.csr_matrix:
@@ -129,14 +116,15 @@ def _validation_logits(dataset: Dataset, a_hat: sp.csr_matrix):
 
 def train_eval_gcn(
     condensed: CondensedGraph,
-    cfg: EvalConfig,
+    cfg: PipelineConfig,
     seed: int,
     a_hat: np.ndarray,
     validation: tuple | None = None,
 ) -> ClassifierParams:
     """Train a GCN on the condensed triple; every synthetic node is labeled.
 
-    The GCN's two layers are a depth-2 head's (W, b). a_hat is Â′, the
+    cfg supplies the eval_* settings and model_selection. The GCN's two
+    layers are a depth-2 head's (W, b). a_hat is Â′, the
     renormalized adjacency of condensed.a_prime. model_selection
     "best_val" tracks validation accuracy on the original dataset and keeps
     the best epoch; "final" returns the last epoch. "best_val" needs
@@ -151,26 +139,26 @@ def train_eval_gcn(
     rng = np.random.default_rng(seed)
     params = init_classifier(
         rng, condensed.x_prime.shape[1], condensed.num_classes, depth=2,
-        hidden_dim=cfg.hidden_dim, dropout_rate=cfg.dropout,
+        hidden_dim=cfg.eval_hidden, dropout_rate=cfg.eval_dropout,
     )
     labels = condensed.labels
-    step = optimizer_step(cfg.optimizer, params.weights + params.biases)
+    step = optimizer_step(cfg.eval_optimizer, params.weights + params.biases)
 
     best_params, best_val = None, -1.0
 
     # Â' and X' stay fixed during training, so Â' X' is formed once
     ax = a_hat @ condensed.x_prime
-    for epoch in range(cfg.epochs):
+    for epoch in range(cfg.eval_epochs):
         logits, cache = _gcn_forward_cache(
             params, a_hat, condensed.x_prime, True, rng, ax=ax
         )
         _, loss, dlogits = softmax_cross_entropy(logits, labels)
-        if not np.isfinite(loss + _l2_penalty(params, cfg.weight_decay)):
+        if not np.isfinite(loss + _l2_penalty(params, cfg.eval_weight_decay)):
             raise DivergedError(epoch)
         d_w1, d_b1, d_w2, d_b2 = _gcn_backward(params, a_hat, cache, dlogits)
-        d_w1 += cfg.weight_decay * params.weights[0]
-        d_w2 += cfg.weight_decay * params.weights[1]
-        step([d_w1, d_w2, d_b1, d_b2], cfg.learning_rate)
+        d_w1 += cfg.eval_weight_decay * params.weights[0]
+        d_w2 += cfg.eval_weight_decay * params.weights[1]
+        step([d_w1, d_w2, d_b1, d_b2], cfg.eval_lr)
         if cfg.model_selection == "best_val":
             acc = float(np.mean(np.argmax(val_logits(params), axis=1) == val_labels))
             if acc > best_val:

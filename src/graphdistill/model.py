@@ -187,11 +187,13 @@ def forward(params: ClassifierParams, Z: np.ndarray) -> np.ndarray:
 def backward(
     params: ClassifierParams, cache: dict, dlogits: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Backpropagate dlogits; returns (dZ, weight grads, bias grads).
+    """Backpropagate dlogits; returns (dS0, weight grads, bias grads).
 
-    The cache is consumed: each layer's input leaves it once that layer's
-    weight gradient and rectifier mask are formed, before the next
-    gradient is allocated, so a cache serves one backward.
+    dS0 is the gradient at layer 0's pre-activation Z W0 + b0, so
+    dZ = dS0 @ W0.T; callers that need dZ form it themselves. The cache is
+    consumed: each layer's input leaves it once that layer's weight
+    gradient and rectifier mask are formed, before the next gradient is
+    allocated, so a cache serves one backward.
     """
     inputs, p = cache["inputs"], cache["dropout_rate"]
     d_weights = [np.empty(0)] * params.depth
@@ -201,10 +203,10 @@ def backward(
         h = inputs.pop()
         d_weights[layer] = h.T @ g
         d_biases[layer] = g.sum(axis=0)
-        alive = h > 0.0 if layer > 0 else None
-        del h
-        g = g @ params.weights[layer].T
         if layer > 0:
+            alive = h > 0.0
+            del h
+            g = g @ params.weights[layer].T
             relu_dropout_grad(g, alive, p)
     return g, d_weights, d_biases
 

@@ -26,7 +26,6 @@ from .condense import (
 from .dataio import config_hash
 from .evaluate import (
     MODEL_SELECTIONS,
-    EvalConfig,
     _validation_logits,
     evaluate_on_original,
     gcn_forward,
@@ -53,7 +52,6 @@ from .graph import (
 from .propagate import PropagationConfig, gls_propagate
 from .refine import (
     WEIGHTINGS,
-    RefineConfig,
     condense_class_graphs,
     cosine_degrees,
     effective_resistance_approx,
@@ -74,6 +72,24 @@ CHOICES = {
     "ratio_base": ("all", "train"),
     "model_selection": MODEL_SELECTIONS,
     "class_graph_weighting": WEIGHTINGS,
+}
+
+# The allowed range of each numeric config field, as (description, test).
+_COUNT = ("at least 0", lambda v: v >= 0)
+RANGES = {
+    "dropout": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "eval_dropout": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "alpha_prime": ("below 1 (a negative value reuses alpha)", lambda v: v < 1.0),
+    "rho": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "ratio": ("above 0", lambda v: v > 0.0),
+    "E1": _COUNT,
+    "E2": _COUNT,
+    "E3": _COUNT,
+    "eval_epochs": _COUNT,
+    "T_prime": _COUNT,
+    "num_synthetic": _COUNT,
+    "kmeans_n_init": ("at least 1", lambda v: v >= 1),
+    "eval_repeats": ("at least 1", lambda v: v >= 1),
 }
 
 
@@ -148,14 +164,20 @@ class PipelineConfig:
         return config_hash(self.to_dict())
 
     def validate(self) -> None:
-        """Raise ValueError on a value outside CHOICES or eval_repeats < 1."""
+        """Raise ValueError on the first value outside CHOICES or RANGES.
+
+        This is the only check of the config's values; the stages read them
+        as given.
+        """
         for name, allowed in CHOICES.items():
             value = getattr(self, name)
             if value not in allowed:
                 names = " or ".join(map(repr, allowed))
                 raise ValueError(f"{name} must be {names}, not {value!r}")
-        if self.eval_repeats < 1:
-            raise ValueError(f"eval_repeats must be at least 1, not {self.eval_repeats}")
+        for name, (allowed, ok) in RANGES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name} must be {allowed}, not {value!r}")
 
 
 @dataclass
@@ -210,15 +232,6 @@ def evaluate_condensed(
     already computed, with its logits on the condensed graph.
     """
     cfg.validate()
-    ecfg = EvalConfig(
-        epochs=cfg.eval_epochs,
-        learning_rate=cfg.eval_lr,
-        weight_decay=cfg.eval_weight_decay,
-        hidden_dim=cfg.eval_hidden,
-        dropout=cfg.eval_dropout,
-        optimizer=cfg.eval_optimizer,
-        model_selection=cfg.model_selection,
-    )
     seed = stage_seeds(cfg.seed)[5]
     a_org = renormalized_adjacency(dataset.graph)
     a_test = renormalized_adjacency(inductive_graph(dataset)) if cfg.inductive else a_org
@@ -228,7 +241,7 @@ def evaluate_condensed(
         # the validation logits are formed per training, so that their
         # buffers are freed before the test forward
         gcn = train_eval_gcn(
-            condensed, ecfg, seed + r, a_syn,
+            condensed, cfg, seed + r, a_syn,
             _validation_logits(dataset, a_org) if cfg.model_selection == "best_val" else None,
         )
         accuracy, logits = evaluate_on_original(gcn, dataset, a_test, cfg.inductive)
@@ -333,26 +346,9 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
             hidden_dim=cfg.hidden,
             dropout_rate=cfg.dropout,
         )
-        rcfg = RefineConfig(
-            beta=cfg.beta,
-            T_prime=cfg.T_prime,
-            alpha_prime=None if cfg.alpha_prime < 0 else cfg.alpha_prime,
-            gamma=cfg.gamma,
-            lambda_=cfg.lambda_,
-            epochs=cfg.E3,
-            learning_rate=cfg.lr,
-            seed=s_refine,
-            optimizer=cfg.refine_optimizer,
-        )
         result = refine(
-            Z,
-            dataset.labels,
-            dataset.train_mask,
-            condensed,
-            class_set,
-            w_prime_init,
-            rcfg,
-            cfg.alpha,
+            Z, dataset.labels, dataset.train_mask, condensed, class_set,
+            w_prime_init, cfg, s_refine,
         )
         x_before = condensed.x_prime
         condensed.x_prime = result.x_refined

@@ -14,37 +14,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import model
 from .cluster import Clustering, sketching_matrices
-from .condense import CondensedGraph
+from .condense import CondensedGraph, compress_adjacency
 from .graph import GraphError, SparseGraph, normalize_rows
 from .model import ClassifierParams, DivergedError
 from .propagate import propagate_dense
 
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
+
 COS_FLOOR = 1e-6
-
-
-@dataclass
-class RefineConfig:
-    beta: float = 0.01  # correction scale on Delta
-    T_prime: int = 2
-    alpha_prime: float | None = None  # None reuses the propagation alpha
-    gamma: float = 7.0  # synthetic-loss weight
-    lambda_: float = 0.1  # consistency weight
-    epochs: int = 2000
-    learning_rate: float = 0.01
-    seed: int = 0
-    optimizer: str = "adam"
-
-    def __post_init__(self) -> None:
-        if self.T_prime < 0:
-            raise ValueError("T_prime must be nonnegative")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
 
 
 @dataclass
@@ -142,10 +127,7 @@ def condense_class_graphs(
 ) -> ClassGraphSet:
     """Compress each class adjacency with the rescaled membership operator."""
     _, c_norm = sketching_matrices(clustering)
-    condensed = []
-    for a in class_set.sampled:
-        m = (c_norm.T @ (a @ c_norm)).toarray()
-        condensed.append(0.5 * (m + m.T))
+    condensed = [compress_adjacency(c_norm, a) for a in class_set.sampled]
     return ClassGraphSet(class_set.sampled, condensed)
 
 
@@ -221,10 +203,11 @@ def refine_loss_and_grads(
         if lambda_ != 0.0:
             dP = (2.0 / (n * num_classes)) * (P - pbar)
             dlogits = dlogits + lambda_ * model.softmax_vjp(P, dP)
-        d_in, dw_v, db_v = model.backward(params, cache, dlogits)
+        d_pre, dw_v, db_v = model.backward(params, cache, dlogits)
         for i in range(params.depth):
             d_w[i] = d_w[i] + dw_v[i]
             d_b[i] = d_b[i] + db_v[i]
+        d_in = d_pre @ params.weights[0].T
         d_delta += beta * propagate_dense(adj, d_in, alpha, T_prime)
 
     loss = l_org + gamma * l_syn + lambda_ * l_cst
@@ -238,10 +221,15 @@ def refine(
     condensed: CondensedGraph,
     class_set: ClassGraphSet,
     params_init: ClassifierParams,
-    cfg: RefineConfig,
-    pretrain_alpha: float,
+    cfg: PipelineConfig,
+    seed: int,
 ) -> RefineResult:
-    """Descend the joint objective over (Delta, W') for cfg.epochs steps.
+    """Descend the joint objective over (Delta, W') for cfg.E3 steps.
+
+    cfg supplies beta, gamma, lambda_, T_prime, the learning rate lr and
+    refine_optimizer; the class views propagate with alpha_prime, or with
+    the propagation alpha when alpha_prime is negative. seed seeds the
+    dropout stream.
 
     Of Z and labels only the train_mask rows are read: they are sliced out
     once, so the full-graph term forwards the head (and draws its dropout
@@ -255,17 +243,17 @@ def refine(
     Z_train = np.asarray(Z, dtype=np.float64)[train_idx]
     labels_train = np.asarray(labels)[train_idx]
     all_rows = np.ones(train_idx.shape[0], dtype=bool)
-    alpha = cfg.alpha_prime if cfg.alpha_prime is not None else pretrain_alpha
+    alpha = cfg.alpha if cfg.alpha_prime < 0 else cfg.alpha_prime
     params = params_init.copy()
     delta = np.zeros(condensed.x_prime.shape)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     train_mode = params.dropout_rate > 0.0
     step = model.optimizer_step(
-        cfg.optimizer, [delta] + params.weights + params.biases
+        cfg.refine_optimizer, [delta] + params.weights + params.biases
     )
 
     losses: list[float] = []
-    for epoch in range(cfg.epochs):
+    for epoch in range(cfg.E3):
         loss, _, d_delta, d_w, d_b = refine_loss_and_grads(
             Z_train,
             labels_train,
@@ -286,6 +274,6 @@ def refine(
         if not np.isfinite(loss):
             raise DivergedError(epoch)
         losses.append(loss)
-        step([d_delta] + d_w + d_b, cfg.learning_rate)
+        step([d_delta] + d_w + d_b, cfg.lr)
     x_refined = condensed.x_prime + cfg.beta * delta
     return RefineResult(x_refined, params, delta, losses)

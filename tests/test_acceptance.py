@@ -17,7 +17,6 @@ from graphdistill.cli import main as cli_main
 from graphdistill.cluster import Clustering, kmeans, wcss
 from graphdistill.dataio import load_dataset
 from graphdistill.evaluate import (
-    EvalConfig,
     coreset_random,
     evaluate_on_original,
     renormalized_adjacency,
@@ -398,17 +397,16 @@ def test_criterion_09_distilled_training_matches_full_and_beats_random():
             normalized_adjacency(ds.graph), ds.features,
             PropagationConfig(cfg.alpha, cfg.T),
         )
-        ecfg = EvalConfig()
         a_hat = renormalized_adjacency(ds.graph)
         full_pool = int(ds.train_mask.sum())
         coreset = coreset_random(ds, Z, full_pool, seed=seed)
         full = train_eval_gcn(
-            coreset, ecfg, seed, renormalized_adjacency(coreset.a_prime)
+            coreset, cfg, seed, renormalized_adjacency(coreset.a_prime)
         )
         full_accs.append(evaluate_on_original(full, ds, a_hat)[0])
         coreset = coreset_random(ds, Z, 40, seed=seed)
         rand = train_eval_gcn(
-            coreset, ecfg, seed, renormalized_adjacency(coreset.a_prime)
+            coreset, cfg, seed, renormalized_adjacency(coreset.a_prime)
         )
         rand_accs.append(evaluate_on_original(rand, ds, a_hat)[0])
 

@@ -186,7 +186,8 @@ def test_errors_exit_nonzero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--model_selection", "best-val"), ("--ratio_base", "Train")]
+    "flag, value",
+    [("--model_selection", "best-val"), ("--ratio_base", "Train"), ("--dropout", "1")],
 )
 def test_misspelled_choice_exits_with_one_line(tmp_path, capsys, flag, value):
     data_dir = _gen(tmp_path)

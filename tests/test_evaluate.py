@@ -4,7 +4,6 @@ import pytest
 from conftest import random_graph
 from graphdistill.condense import CondensedGraph
 from graphdistill.evaluate import (
-    EvalConfig,
     _class_quotas,
     _gcn_backward,
     _gcn_forward_cache,
@@ -26,6 +25,7 @@ from graphdistill.model import (
     optimizer_step,
     softmax_predict,
 )
+from graphdistill.pipeline import PipelineConfig
 
 
 def _toy_dataset(rng, per_class=10, sep=6.0, name="toy"):
@@ -184,7 +184,7 @@ def test_gcn_trained_on_condensed_classifies_original():
     rng = np.random.default_rng(4)
     condensed = _separable_condensed(rng)
     dataset = _toy_dataset(rng)
-    cfg = EvalConfig(epochs=200, hidden_dim=16, dropout=0.0, optimizer="adam")
+    cfg = PipelineConfig(eval_epochs=200, eval_hidden=16, eval_dropout=0.0, eval_optimizer="adam")
     params = train_eval_gcn(condensed, cfg, seed=0, a_hat=_a_hat(condensed))
     acc, _ = evaluate_on_original(params, dataset, renormalized_adjacency(dataset.graph))
     assert acc >= 0.9
@@ -193,7 +193,7 @@ def test_gcn_trained_on_condensed_classifies_original():
 def test_eval_training_is_deterministic():
     rng = np.random.default_rng(5)
     condensed = _separable_condensed(rng)
-    cfg = EvalConfig(epochs=30, hidden_dim=8, dropout=0.5)
+    cfg = PipelineConfig(eval_epochs=30, eval_hidden=8, eval_dropout=0.5)
     a = train_eval_gcn(condensed, cfg, seed=7, a_hat=_a_hat(condensed))
     b = train_eval_gcn(condensed, cfg, seed=7, a_hat=_a_hat(condensed))
     assert np.array_equal(a.weights[0], b.weights[0])
@@ -203,7 +203,7 @@ def test_eval_training_is_deterministic():
 def test_best_val_selection_requires_dataset():
     rng = np.random.default_rng(6)
     condensed = _separable_condensed(rng)
-    cfg = EvalConfig(epochs=5, hidden_dim=8, model_selection="best_val")
+    cfg = PipelineConfig(eval_epochs=5, eval_hidden=8, model_selection="best_val")
     with pytest.raises(ValueError, match="dataset"):
         train_eval_gcn(condensed, cfg, seed=0, a_hat=_a_hat(condensed))
     dataset = _toy_dataset(rng)
@@ -216,7 +216,7 @@ def test_best_val_refuses_empty_validation_set():
     condensed = _separable_condensed(rng)
     dataset = _toy_dataset(rng)
     dataset.val_mask = np.zeros_like(dataset.val_mask)
-    cfg = EvalConfig(epochs=5, hidden_dim=8, model_selection="best_val")
+    cfg = PipelineConfig(eval_epochs=5, eval_hidden=8, model_selection="best_val")
     with pytest.raises(ValueError, match="nonempty validation set"):
         train_eval_gcn(condensed, cfg, 0, _a_hat(condensed), _validation(dataset))
 
@@ -226,21 +226,21 @@ def _best_val_reference(condensed, cfg, seed, dataset):
     rng = np.random.default_rng(seed)
     n, d = condensed.x_prime.shape
     params = init_classifier(
-        rng, d, condensed.num_classes, depth=2, hidden_dim=cfg.hidden_dim,
-        dropout_rate=cfg.dropout,
+        rng, d, condensed.num_classes, depth=2, hidden_dim=cfg.eval_hidden,
+        dropout_rate=cfg.eval_dropout,
     )
     a_hat = renormalized_adjacency(condensed.a_prime)
     a_hat_org = renormalized_adjacency(dataset.graph)
     tensors = [params.weights[0], params.biases[0], params.weights[1], params.biases[1]]
     adam = AdamState([t.shape for t in tensors])
     best, best_val = None, -1.0
-    for _ in range(cfg.epochs):
+    for _ in range(cfg.eval_epochs):
         logits, cache = _gcn_forward_cache(params, a_hat, condensed.x_prime, True, rng)
         dlogits = (softmax_predict(logits) - condensed.y_prime) / n
         grads = list(_gcn_backward(params, a_hat, cache, dlogits))
-        grads[0] += cfg.weight_decay * params.weights[0]
-        grads[2] += cfg.weight_decay * params.weights[1]
-        adam.step(tensors, grads, cfg.learning_rate)
+        grads[0] += cfg.eval_weight_decay * params.weights[0]
+        grads[2] += cfg.eval_weight_decay * params.weights[1]
+        adam.step(tensors, grads, cfg.eval_lr)
         pred = np.argmax(gcn_forward(params, a_hat_org, dataset.features), axis=1)
         acc = float(np.mean(pred[dataset.val_mask] == dataset.labels[dataset.val_mask]))
         if acc > best_val:
@@ -265,7 +265,9 @@ def test_best_val_matches_full_graph_scoring():
         condensed = CondensedGraph(
             y @ np.eye(K, d) + 0.5 * rng.standard_normal((n, d)), 0.5 * (m + m.T), y
         )
-        cfg = EvalConfig(epochs=40, hidden_dim=8, dropout=0.5, model_selection="best_val")
+        cfg = PipelineConfig(
+            eval_epochs=40, eval_hidden=8, eval_dropout=0.5, model_selection="best_val"
+        )
         got = train_eval_gcn(condensed, cfg, seed, _a_hat(condensed), _validation(dataset))
         want = _best_val_reference(condensed, cfg, seed, dataset)
         for g, w in zip(got.weights + got.biases, want.weights + want.biases):
@@ -531,30 +533,30 @@ def _train_eval_gcn_reference(condensed, cfg, seed, dataset):
     rng = np.random.default_rng(seed)
     n, d = condensed.x_prime.shape
     head = init_classifier(
-        rng, d, condensed.num_classes, depth=2, hidden_dim=cfg.hidden_dim,
-        dropout_rate=cfg.dropout,
+        rng, d, condensed.num_classes, depth=2, hidden_dim=cfg.eval_hidden,
+        dropout_rate=cfg.eval_dropout,
     )
     (w1, w2), (b1, b2) = head.weights, head.biases
     a_hat = renormalized_adjacency(condensed.a_prime)
     labels = condensed.labels
-    step = optimizer_step(cfg.optimizer, [w1, b1, w2, b2])
+    step = optimizer_step(cfg.eval_optimizer, [w1, b1, w2, b2])
     want_val = cfg.model_selection == "best_val"
     if want_val:
         val_logits, val_labels = _validation(dataset)
     best, best_val = None, -1.0
-    for _ in range(cfg.epochs):
+    for _ in range(cfg.eval_epochs):
         logits, cache = _gcn_cache_reference(head, a_hat, condensed.x_prime, True, rng)
         P = softmax_predict(logits)
         picked = np.clip(P[np.arange(n), labels], 1e-12, None)
         loss = float(-np.mean(np.log(picked)))
-        loss += 0.5 * cfg.weight_decay * (float(np.sum(w1**2)) + float(np.sum(w2**2)))
+        loss += 0.5 * cfg.eval_weight_decay * (float(np.sum(w1**2)) + float(np.sum(w2**2)))
         assert np.isfinite(loss)
         d_w1, d_b1, d_w2, d_b2 = _gcn_backward_reference(
             head, a_hat, cache, (P - condensed.y_prime) / n
         )
-        d_w1 += cfg.weight_decay * w1
-        d_w2 += cfg.weight_decay * w2
-        step([d_w1, d_b1, d_w2, d_b2], cfg.learning_rate)
+        d_w1 += cfg.eval_weight_decay * w1
+        d_w2 += cfg.eval_weight_decay * w2
+        step([d_w1, d_b1, d_w2, d_b2], cfg.eval_lr)
         if want_val:
             acc = float(np.mean(np.argmax(val_logits(head), axis=1) == val_labels))
             if acc > best_val:
@@ -576,9 +578,9 @@ def test_train_eval_gcn_matches_loose_tensor_trainer_bitwise(model_selection, op
         condensed = CondensedGraph(
             y @ np.eye(K, 5) + 0.5 * rng.standard_normal((n, 5)), 0.5 * (m + m.T), y
         )
-        cfg = EvalConfig(
-            epochs=30, hidden_dim=16, dropout=0.5, learning_rate=0.05,
-            optimizer=optimizer, model_selection=model_selection,
+        cfg = PipelineConfig(
+            eval_epochs=30, eval_hidden=16, eval_dropout=0.5, eval_lr=0.05,
+            eval_optimizer=optimizer, model_selection=model_selection,
         )
         got = train_eval_gcn(condensed, cfg, seed, _a_hat(condensed), _validation(dataset))
         want = _train_eval_gcn_reference(condensed, cfg, seed, dataset)

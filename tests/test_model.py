@@ -180,7 +180,8 @@ def test_input_gradient_matches_finite_differences():
     p = softmax_predict(logits)
     onehot = np.eye(3)[labels]
     dlogits = (p - onehot) / 5.0
-    dz, _, _ = backward(params, cache, dlogits)
+    d_pre, _, _ = backward(params, cache, dlogits)
+    dz = d_pre @ params.weights[0].T
     fd = _fd_grad(lambda: _loss(params, z, labels, mask), z)
     assert _rel_err(fd, dz) <= 1e-4
 
@@ -371,7 +372,8 @@ def test_gated_layers_match_mask_and_scale_reference_bitwise(depth, train_mode):
     # the dropout draws keep their shapes and order
     assert rng_got.random() == rng_want.random()
     dlogits = np.random.default_rng(4).standard_normal(got.shape) / z.shape[0]
-    dz, d_w, d_b = backward(params, cache, dlogits)
+    d_pre, d_w, d_b = backward(params, cache, dlogits)
+    dz = d_pre @ params.weights[0].T
     want_dz, want_w, want_b = _backward_reference(params, ref_cache, dlogits)
     assert dz.tobytes() == want_dz.tobytes()
     for a, b in zip(d_w + d_b, want_w + want_b):

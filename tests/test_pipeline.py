@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,47 @@ def stage_times(monkeypatch):
 def test_misspelled_choice_is_refused(field, value, stage_times):
     ds = _small_sbm(0)
     with pytest.raises(PipelineError, match=rf"stage 'propagate' failed: {field} must be"):
+        run_pipeline(ds, _fast_config(**{field: value}))
+    assert stage_times == {}
+
+
+# The allowed range that each refusal names.
+ALLOWED = {
+    "dropout": "in [0, 1)",
+    "eval_dropout": "in [0, 1)",
+    "alpha_prime": "below 1 (a negative value reuses alpha)",
+    "rho": "in (0, 1]",
+    "ratio": "above 0",
+    "kmeans_n_init": "at least 1",
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dropout", 1.0),
+        ("dropout", 1.5),
+        ("dropout", -0.2),
+        ("eval_dropout", 1.0),
+        ("alpha_prime", 1.5),
+        ("rho", 0.0),
+        ("rho", 1.5),
+        ("ratio", 0.0),
+        ("E1", -3),
+        ("E2", -1),
+        ("E3", -1),
+        ("eval_epochs", -1),
+        ("T_prime", -1),
+        ("num_synthetic", -5),
+        ("kmeans_n_init", 0),
+    ],
+)
+def test_out_of_range_value_is_refused(field, value, stage_times):
+    ds = _small_sbm(0)
+    allowed = re.escape(f"{ALLOWED.get(field, 'at least 0')}, not {value!r}")
+    with pytest.raises(
+        PipelineError, match=rf"stage 'propagate' failed: {field} must be {allowed}$"
+    ):
         run_pipeline(ds, _fast_config(**{field: value}))
     assert stage_times == {}
 

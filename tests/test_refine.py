@@ -5,11 +5,11 @@ from conftest import random_graph
 from graphdistill.condense import CondensedGraph
 from graphdistill.graph import GraphError, SparseGraph, normalize_rows
 from graphdistill.model import init_classifier
+from graphdistill.pipeline import PipelineConfig
 from graphdistill.propagate import propagate_dense
 from graphdistill.refine import (
     COS_FLOOR,
     ClassGraphSet,
-    RefineConfig,
     class_edge_weights,
     condense_class_graphs,
     consistency_loss,
@@ -273,25 +273,25 @@ def _refine_inputs(seed=10):
 
 def test_refine_zero_epochs_is_identity():
     Z, labels, mask, condensed, class_set, params = _refine_inputs()
-    cfg = RefineConfig(epochs=0)
-    out = refine(Z, labels, mask, condensed, class_set, params, cfg, 0.8)
+    cfg = PipelineConfig(E3=0)
+    out = refine(Z, labels, mask, condensed, class_set, params, cfg, 0)
     assert np.array_equal(out.x_refined, condensed.x_prime)
     assert out.loss_trace == []
 
 
 def test_refine_without_objective_terms_keeps_attributes():
     Z, labels, mask, condensed, class_set, params = _refine_inputs()
-    cfg = RefineConfig(gamma=0.0, lambda_=0.0, epochs=5, optimizer="gd")
-    out = refine(Z, labels, mask, condensed, class_set, params, cfg, 0.8)
+    cfg = PipelineConfig(gamma=0.0, lambda_=0.0, E3=5, refine_optimizer="gd")
+    out = refine(Z, labels, mask, condensed, class_set, params, cfg, 0)
     assert np.array_equal(out.x_refined, condensed.x_prime)
     assert np.array_equal(out.delta, np.zeros_like(condensed.x_prime))
 
 
 def test_refine_is_deterministic_and_loss_decreases():
     Z, labels, mask, condensed, class_set, params = _refine_inputs(11)
-    cfg = RefineConfig(epochs=40, learning_rate=0.01, seed=3)
-    a = refine(Z, labels, mask, condensed, class_set, params, cfg, 0.8)
-    b = refine(Z, labels, mask, condensed, class_set, params, cfg, 0.8)
+    cfg = PipelineConfig(E3=40, lr=0.01)
+    a = refine(Z, labels, mask, condensed, class_set, params, cfg, 3)
+    b = refine(Z, labels, mask, condensed, class_set, params, cfg, 3)
     assert np.array_equal(a.x_refined, b.x_refined)
     assert a.loss_trace[-1] < a.loss_trace[0]
 
@@ -300,31 +300,32 @@ def test_refine_requires_condensed_adjacencies():
     Z, labels, mask, condensed, _, params = _refine_inputs(12)
     with pytest.raises(ValueError, match="condensed adjacencies"):
         refine(Z, labels, mask, condensed, ClassGraphSet(sampled=[]), params,
-               RefineConfig(epochs=1), 0.8)
-
-
-def test_refine_config_validation():
-    with pytest.raises(ValueError):
-        RefineConfig(T_prime=-1)
-    with pytest.raises(ValueError):
-        RefineConfig(epochs=-1)
+               PipelineConfig(E3=1), 0)
 
 
 def test_alpha_prime_override_changes_result():
     Z, labels, mask, condensed, class_set, params = _refine_inputs(13)
-    base = RefineConfig(epochs=10, seed=0)
-    override = RefineConfig(epochs=10, seed=0, alpha_prime=0.2)
-    a = refine(Z, labels, mask, condensed, class_set, params, base, 0.8)
-    b = refine(Z, labels, mask, condensed, class_set, params, override, 0.8)
+    base = PipelineConfig(E3=10, alpha=0.8)
+    override = PipelineConfig(E3=10, alpha=0.8, alpha_prime=0.2)
+    a = refine(Z, labels, mask, condensed, class_set, params, base, 0)
+    b = refine(Z, labels, mask, condensed, class_set, params, override, 0)
     assert not np.array_equal(a.x_refined, b.x_refined)
+    # a negative alpha_prime reuses alpha: alpha 0.2 gives the override's bytes
+    reuse = PipelineConfig(E3=10, alpha=0.2, alpha_prime=-1.0)
+    c = refine(Z, labels, mask, condensed, class_set, params, reuse, 0)
+    assert c.x_refined.tobytes() == b.x_refined.tobytes()
+    assert c.delta.tobytes() == b.delta.tobytes()
+    for g, w in zip(c.params.weights + c.params.biases, b.params.weights + b.params.biases):
+        assert g.tobytes() == w.tobytes()
+    assert c.loss_trace == b.loss_trace
 
 
 def test_refine_reads_only_training_rows():
     Z, labels, mask, condensed, class_set, params = _refine_inputs(14)
     params.dropout_rate = 0.3
     Z[~mask] = np.nan
-    cfg = RefineConfig(epochs=10, seed=1)
-    out = refine(Z, labels, mask, condensed, class_set, params, cfg, 0.8)
+    cfg = PipelineConfig(E3=10)
+    out = refine(Z, labels, mask, condensed, class_set, params, cfg, 1)
     assert np.all(np.isfinite(out.loss_trace))
     assert np.all(np.isfinite(out.x_refined))
     for w, b in zip(out.params.weights, out.params.biases):
