@@ -33,7 +33,7 @@ from .pipeline import (
     resolve_synthetic_size,
     run_pipeline,
 )
-from .propagate import PropagationConfig, gls_propagate
+from .propagate import gls_propagate
 
 
 def _parse_bool(text: str) -> bool:
@@ -144,9 +144,9 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     cfg.validate()
     dataset = load_dataset(args.dataset_dir)
-    a_norm = normalized_adjacency(dataset.graph)
-    Z = gls_propagate(a_norm, dataset.features, PropagationConfig(cfg.alpha, cfg.T))
     n = resolve_synthetic_size(cfg, dataset)
+    a_norm = normalized_adjacency(dataset.graph)
+    Z = gls_propagate(a_norm, dataset.features, cfg.alpha, cfg.T)
     selector = {
         "random": coreset_random,
         "kcenter": coreset_kcenter,

@@ -60,12 +60,16 @@ def gcn_forward(
     return a_hat @ (h1 @ params.weights[1]) + params.biases[1]
 
 
-def _gcn_forward_cache(params, a_hat, X, train_mode, rng, ax=None):
-    """Logits and the (Â X, h1, dropout rate) cache; pass ax = Â X to reuse it."""
+def _gcn_forward_cache(params, a_hat, X, rng, ax=None):
+    """Training logits and the (Â X, h1, dropout rate) cache; pass ax = Â X to reuse it.
+
+    h1 drops units at params.dropout_rate, drawn from rng; the eval-mode
+    forward is gcn_forward.
+    """
     (w1, w2), (b1, b2) = params.weights, params.biases
     if ax is None:
         ax = a_hat @ X
-    p = params.dropout_rate if train_mode else 0.0
+    p = params.dropout_rate
     h1 = ax @ w1
     h1 += b1
     relu_dropout(h1, p, rng)
@@ -149,9 +153,7 @@ def train_eval_gcn(
     # Â' and X' stay fixed during training, so Â' X' is formed once
     ax = a_hat @ condensed.x_prime
     for epoch in range(cfg.eval_epochs):
-        logits, cache = _gcn_forward_cache(
-            params, a_hat, condensed.x_prime, True, rng, ax=ax
-        )
+        logits, cache = _gcn_forward_cache(params, a_hat, condensed.x_prime, rng, ax=ax)
         _, loss, dlogits = softmax_cross_entropy(logits, labels)
         if not np.isfinite(loss + _l2_penalty(params, cfg.eval_weight_decay)):
             raise DivergedError(epoch)

@@ -9,9 +9,12 @@ gradient can be checked against finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
 
 
 class DivergedError(RuntimeError):
@@ -38,16 +41,6 @@ class ClassifierParams:
             [b.copy() for b in self.biases],
             self.dropout_rate,
         )
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 80
-    learning_rate: float = 0.01
-    weight_decay: float = 5e-4
-    seed: int = 0
-    batch_size: int = 0  # 0 = full batch
-    optimizer: str = "gd"  # "gd" is the reference path; "adam" is supported
 
 
 def init_classifier(
@@ -153,20 +146,20 @@ def relu_dropout_grad(g: np.ndarray, alive: np.ndarray, dropout_rate: float) -> 
 def forward_cache(
     params: ClassifierParams,
     Z: np.ndarray,
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Forward pass keeping each layer's input for backward.
+    """Training forward pass keeping each layer's input for backward.
 
-    The cache holds those inputs and the dropout rate that applied; backward
-    rebuilds each hidden gate from the next layer's input, which is that
-    layer's output. Dropout applies in train mode only.
+    Hidden layers drop units at params.dropout_rate, drawn from rng. The
+    cache holds the layer inputs and that rate; backward rebuilds each
+    hidden gate from the next layer's input, which is that layer's output.
+    The eval-mode forward, without dropout, is forward.
     """
     h = np.asarray(Z, dtype=np.float64)
     inputs: list[np.ndarray] = []
-    p = params.dropout_rate if train_mode else 0.0
+    p = params.dropout_rate
     if p > 0.0 and rng is None and params.depth > 1:
-        raise ValueError("train_mode dropout needs an rng")
+        raise ValueError("dropout needs an rng")
     for layer, (W, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
         h = h @ W
@@ -322,16 +315,18 @@ def train_classifier(
     labels: np.ndarray,
     mask: np.ndarray,
     params: ClassifierParams,
-    cfg: TrainConfig,
+    cfg: PipelineConfig,
+    seed: int,
 ) -> tuple[ClassifierParams, list[float]]:
     """Train on masked rows of Z; returns final params and the loss trajectory.
 
-    Only the masked rows are read: they are sliced out once, and each epoch
-    forwards and backpropagates just its batch (all masked rows when
-    batch_size is 0), so dropout masks are drawn over those rows alone.
-    The loss is mean cross-entropy over the batch plus
+    cfg supplies the epoch count E1, the learning rate lr, weight_decay and
+    pretrain_optimizer; seed seeds the dropout stream. Only the masked rows
+    are read: they are sliced out once, and each epoch forwards and
+    backpropagates all of them, so dropout masks are drawn over those rows
+    alone. The loss is mean cross-entropy over the masked rows plus
     0.5 * weight_decay * ||W||^2 over weight matrices. Deterministic for a
-    fixed config seed.
+    fixed seed.
 
     Raises:
         DivergedError: on the first epoch with a non-finite loss.
@@ -342,25 +337,18 @@ def train_classifier(
     if not mask.any():
         raise ValueError("empty mask")
     params = params.copy()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     if int(labels.max()) >= params.weights[-1].shape[1]:
         raise ValueError("label outside the classifier's output range")
     train_idx = np.flatnonzero(mask)
-    n_train = train_idx.shape[0]
     Z_train, labels_train = Z[train_idx], labels[train_idx]
 
-    step = optimizer_step(cfg.optimizer, params.weights + params.biases)
+    step = optimizer_step(cfg.pretrain_optimizer, params.weights + params.biases)
 
     losses: list[float] = []
-    for epoch in range(cfg.epochs):
-        if 0 < cfg.batch_size < n_train:
-            batch = np.sort(rng.choice(n_train, size=cfg.batch_size, replace=False))
-            Zb, yb = Z_train[batch], labels_train[batch]
-        else:
-            Zb, yb = Z_train, labels_train
-
-        logits, cache = forward_cache(params, Zb, train_mode=True, rng=rng)
-        _, loss, dlogits = softmax_cross_entropy(logits, yb)
+    for epoch in range(cfg.E1):
+        logits, cache = forward_cache(params, Z_train, rng)
+        _, loss, dlogits = softmax_cross_entropy(logits, labels_train)
         loss += _l2_penalty(params, cfg.weight_decay)
         if not np.isfinite(loss):
             raise DivergedError(epoch)
@@ -369,5 +357,5 @@ def train_classifier(
         _, d_w, d_b = backward(params, cache, dlogits)
         for i in range(params.depth):
             d_w[i] = d_w[i] + cfg.weight_decay * params.weights[i]
-        step(d_w + d_b, cfg.learning_rate)
+        step(d_w + d_b, cfg.lr)
     return params, losses

@@ -49,7 +49,7 @@ from .graph import (
     normalize_rows,
     normalized_adjacency,
 )
-from .propagate import PropagationConfig, gls_propagate
+from .propagate import gls_propagate
 from .refine import (
     WEIGHTINGS,
     condense_class_graphs,
@@ -76,12 +76,15 @@ CHOICES = {
 
 # The allowed range of each numeric config field, as (description, test).
 _COUNT = ("at least 0", lambda v: v >= 0)
+_FRACTION = ("in [0, 1)", lambda v: 0.0 <= v < 1.0)
 RANGES = {
-    "dropout": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
-    "eval_dropout": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "alpha": _FRACTION,
+    "dropout": _FRACTION,
+    "eval_dropout": _FRACTION,
     "alpha_prime": ("below 1 (a negative value reuses alpha)", lambda v: v < 1.0),
     "rho": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
     "ratio": ("above 0", lambda v: v > 0.0),
+    "T": _COUNT,
     "E1": _COUNT,
     "E2": _COUNT,
     "E3": _COUNT,
@@ -199,11 +202,16 @@ def _stage(name: str, timings: dict):
 
 
 def resolve_synthetic_size(cfg: PipelineConfig, dataset: Dataset) -> int:
+    """The synthetic node count n: num_synthetic, or ratio times the base count.
+
+    Raises GraphError unless 2 <= n < N.
+    """
     base = (
         int(dataset.train_mask.sum()) if cfg.ratio_base == "train" else dataset.num_nodes
     )
     n = cfg.num_synthetic if cfg.num_synthetic > 0 else int(round(cfg.ratio * base))
-    n = max(1, n)
+    if n < 2:
+        raise GraphError(f"synthetic node count {n} is below 2")
     if n >= dataset.num_nodes:
         raise GraphError("synthetic node count must be below N")
     return n
@@ -264,10 +272,9 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
 
     with _stage("propagate", timings):
         cfg.validate()
+        n = resolve_synthetic_size(cfg, dataset)
         a_norm = normalized_adjacency(dataset.graph)
-        Z = gls_propagate(
-            a_norm, dataset.features, PropagationConfig(cfg.alpha, cfg.T)
-        )
+        Z = gls_propagate(a_norm, dataset.features, cfg.alpha, cfg.T)
 
     with _stage("pretrain", timings):
         init_rng = np.random.default_rng(s_pre_init)
@@ -280,23 +287,12 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
             dropout_rate=cfg.dropout,
         )
         head, _ = model.train_classifier(
-            Z,
-            dataset.labels,
-            dataset.train_mask,
-            head,
-            model.TrainConfig(
-                epochs=cfg.E1,
-                learning_rate=cfg.lr,
-                weight_decay=cfg.weight_decay,
-                seed=s_pre_train,
-                optimizer=cfg.pretrain_optimizer,
-            ),
+            Z, dataset.labels, dataset.train_mask, head, cfg, s_pre_train
         )
         H = model.forward(head, Z)
         P = model.softmax_predict(H)
 
     with _stage("cluster", timings):
-        n = resolve_synthetic_size(cfg, dataset)
         if dataset.num_nodes > cfg.minibatch_threshold:
             clustering = minibatch_kmeans(
                 H, n, seed=s_cluster, max_iter=cfg.E2,

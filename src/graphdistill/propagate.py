@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -19,28 +17,14 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class PropagationConfig:
-    """alpha: smoothing strength in [0, 1); T: series truncation depth >= 0."""
-
-    alpha: float
-    T: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha < 1.0:
-            raise GraphError("alpha must lie in [0, 1)")
-        if self.T < 0:
-            raise GraphError("T must be nonnegative")
-
-
 def gls_propagate(
-    a_norm: SparseGraph, X: np.ndarray, cfg: PropagationConfig
+    a_norm: SparseGraph, X: np.ndarray, alpha: float, T: int
 ) -> np.ndarray:
     """Z = sum_{t=0..T} (1-alpha) * alpha^t * A_norm^t X, summed by propagate_dense."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != a_norm.num_nodes:
         raise GraphError("X row count must match the graph")
-    return propagate_dense(a_norm.to_scipy(), X, cfg.alpha, cfg.T)
+    return propagate_dense(a_norm.to_scipy(), X, alpha, T)
 
 
 def propagate_dense(

@@ -165,19 +165,19 @@ def refine_loss_and_grads(
     T_prime: int,
     gamma: float,
     lambda_: float,
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, tuple[float, float, float], np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Joint loss and analytic gradients with respect to Delta and the head.
 
-    Gradients accumulate over class views in class-index order. The Delta
+    Every head forward drops hidden units at params.dropout_rate, drawn from
+    rng. Gradients accumulate over class views in class-index order. The Delta
     gradient rides back through the fixed propagation operator, which is
     its own adjoint because each A'(y) is symmetric.
     """
     n, num_classes = y_prime.shape
     mask = np.asarray(train_mask, dtype=bool)
 
-    logits_org, cache_org = model.forward_cache(params, Z, train_mode, rng)
+    logits_org, cache_org = model.forward_cache(params, Z, rng)
     _, l_org, d_org = model.softmax_cross_entropy(
         logits_org[mask], np.asarray(labels)[mask]
     )
@@ -190,7 +190,7 @@ def refine_loss_and_grads(
     caches: list[dict] = []
     for adj in cond_adjs:
         smoothed = propagate_dense(adj, base, alpha, T_prime)
-        logits, cache = model.forward_cache(params, smoothed, train_mode, rng)
+        logits, cache = model.forward_cache(params, smoothed, rng)
         view_probs.append(model.softmax_predict(logits))
         caches.append(cache)
     l_syn = syn_loss(view_probs, y_prime)
@@ -247,7 +247,6 @@ def refine(
     params = params_init.copy()
     delta = np.zeros(condensed.x_prime.shape)
     rng = np.random.default_rng(seed)
-    train_mode = params.dropout_rate > 0.0
     step = model.optimizer_step(
         cfg.refine_optimizer, [delta] + params.weights + params.biases
     )
@@ -268,7 +267,6 @@ def refine(
             cfg.T_prime,
             cfg.gamma,
             cfg.lambda_,
-            train_mode,
             rng,
         )
         if not np.isfinite(loss):

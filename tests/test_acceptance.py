@@ -45,7 +45,7 @@ from graphdistill.pipeline import (
     generate_sbm,
     run_pipeline,
 )
-from graphdistill.propagate import PropagationConfig, gls_propagate, gls_solve_exact
+from graphdistill.propagate import gls_propagate, gls_solve_exact
 from graphdistill.refine import refine_loss_and_grads
 
 from conftest import random_graph
@@ -85,7 +85,7 @@ def test_criterion_01_truncated_smoothing_matches_direct_solve():
         g = random_graph(rng, 50, 0.15, min_degree=1)
         X = rng.standard_normal((50, 8))
         a_norm = normalized_adjacency(g)
-        approx = gls_propagate(a_norm, X, PropagationConfig(alpha=0.5, T=200))
+        approx = gls_propagate(a_norm, X, 0.5, 200)
         exact = gls_solve_exact(a_norm, X, alpha=0.5)
         rel = float(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
         worst = max(worst, rel)
@@ -393,10 +393,7 @@ def test_criterion_09_distilled_training_matches_full_and_beats_random():
         times.append(time.perf_counter() - t0)
         cond_accs.append(res.metrics["accuracy_mean"])
 
-        Z = gls_propagate(
-            normalized_adjacency(ds.graph), ds.features,
-            PropagationConfig(cfg.alpha, cfg.T),
-        )
+        Z = gls_propagate(normalized_adjacency(ds.graph), ds.features, cfg.alpha, cfg.T)
         a_hat = renormalized_adjacency(ds.graph)
         full_pool = int(ds.train_mask.sum())
         coreset = coreset_random(ds, Z, full_pool, seed=seed)

@@ -182,12 +182,17 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     )
     assert rc == 1
     err = capsys.readouterr().err
-    assert "stage 'cluster' failed" in err
+    assert "stage 'propagate' failed" in err
 
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--model_selection", "best-val"), ("--ratio_base", "Train"), ("--dropout", "1")],
+    [
+        ("--model_selection", "best-val"),
+        ("--ratio_base", "Train"),
+        ("--dropout", "1"),
+        ("--alpha", "1"),
+    ],
 )
 def test_misspelled_choice_exits_with_one_line(tmp_path, capsys, flag, value):
     data_dir = _gen(tmp_path)

@@ -115,7 +115,7 @@ def test_gcn_forward_matches_layer_by_layer_products():
         got = gcn_forward(params, a_hat, x)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         # training mode draws one dropout mask over h1 from the given stream
-        got = _gcn_forward_cache(params, a_hat, x, True, np.random.default_rng(5))[0]
+        got = _gcn_forward_cache(params, a_hat, x, np.random.default_rng(5))[0]
         keep = np.random.default_rng(5).random((40, 32)) >= params.dropout_rate
         want = _gcn_reference(params, a_hat, x, keep / (1.0 - params.dropout_rate))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -136,7 +136,7 @@ def test_gcn_gradients_match_finite_differences():
         P = softmax_predict(logits)
         return float(-np.mean(np.log(P[np.arange(6), labels])))
 
-    logits, cache = _gcn_forward_cache(params, a_hat, x, False, None)
+    logits, cache = _gcn_forward_cache(params, a_hat, x, None)
     P = softmax_predict(logits)
     grads = _gcn_backward(params, a_hat, cache, (P - onehot) / 6.0)
     tensors = [params.weights[0], params.biases[0], params.weights[1], params.biases[1]]
@@ -235,7 +235,7 @@ def _best_val_reference(condensed, cfg, seed, dataset):
     adam = AdamState([t.shape for t in tensors])
     best, best_val = None, -1.0
     for _ in range(cfg.eval_epochs):
-        logits, cache = _gcn_forward_cache(params, a_hat, condensed.x_prime, True, rng)
+        logits, cache = _gcn_forward_cache(params, a_hat, condensed.x_prime, rng)
         dlogits = (softmax_predict(logits) - condensed.y_prime) / n
         grads = list(_gcn_backward(params, a_hat, cache, dlogits))
         grads[0] += cfg.eval_weight_decay * params.weights[0]
@@ -360,14 +360,18 @@ def test_coreset_respects_quotas_and_seed():
     assert np.array_equal(counts, [3, 3])
 
 
-def _gcn_cache_reference(params, a_hat, x, train_mode, rng):
-    """The GCN forward with a (mask, scale) pair for its hidden layer."""
+def _gcn_cache_reference(params, a_hat, x, rng=None):
+    """The GCN forward with a (mask, scale) pair for its hidden layer.
+
+    Dropout applies when an rng is given; without one this is the
+    eval-mode forward.
+    """
     ax = a_hat @ x
     s1 = ax @ params.weights[0] + params.biases[0]
     mask = s1 > 0.0
     h1 = s1 * mask
     scale = None
-    if train_mode and params.dropout_rate > 0.0:
+    if rng is not None and params.dropout_rate > 0.0:
         keep = rng.random(h1.shape) >= params.dropout_rate
         scale = keep / (1.0 - params.dropout_rate)
         h1 = h1 * scale
@@ -405,20 +409,17 @@ def _gcn_with_zeros(seed, N, d=32, hidden=256, K=4):
     return params, graph, x
 
 
-@pytest.mark.parametrize("train_mode", [False, True])
-def test_gcn_gate_matches_mask_and_scale_reference_bitwise(train_mode):
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_gcn_gate_matches_mask_and_scale_reference_bitwise(dropout):
     params, graph, x = _gcn_with_zeros(60, 120, hidden=64)
+    params.dropout_rate = dropout
     a_hat = renormalized_adjacency(graph.to_scipy().toarray())
-    want, ref_cache = _gcn_cache_reference(
-        params, a_hat, x, train_mode, np.random.default_rng(2)
-    )
+    want, ref_cache = _gcn_cache_reference(params, a_hat, x, np.random.default_rng(2))
     dlogits = np.random.default_rng(3).standard_normal(want.shape) / 120.0
     want_grads = _gcn_backward_reference(params, a_hat, ref_cache, dlogits)
     # a precomputed Â X, as train_eval_gcn passes it, changes nothing
     for ax in (None, a_hat @ x):
-        got, cache = _gcn_forward_cache(
-            params, a_hat, x, train_mode, np.random.default_rng(2), ax=ax
-        )
+        got, cache = _gcn_forward_cache(params, a_hat, x, np.random.default_rng(2), ax=ax)
         assert got.tobytes() == want.tobytes()
         for g, w in zip(_gcn_backward(params, a_hat, cache, dlogits), want_grads):
             assert g.tobytes() == w.tobytes()
@@ -428,7 +429,7 @@ def test_row_blocked_gcn_forward_matches_whole_matrix_reference_bitwise():
     params, graph, x = _gcn_with_zeros(61, 1000)
     dense = graph.to_scipy().toarray()
     for a_hat in (renormalized_adjacency(graph), renormalized_adjacency(dense)):
-        want = _gcn_cache_reference(params, a_hat, x, False, None)[0]
+        want = _gcn_cache_reference(params, a_hat, x)[0]
         assert gcn_forward(params, a_hat, x).tobytes() == want.tobytes()
 
 
@@ -545,7 +546,7 @@ def _train_eval_gcn_reference(condensed, cfg, seed, dataset):
         val_logits, val_labels = _validation(dataset)
     best, best_val = None, -1.0
     for _ in range(cfg.eval_epochs):
-        logits, cache = _gcn_cache_reference(head, a_hat, condensed.x_prime, True, rng)
+        logits, cache = _gcn_cache_reference(head, a_hat, condensed.x_prime, rng)
         P = softmax_predict(logits)
         picked = np.clip(P[np.arange(n), labels], 1e-12, None)
         loss = float(-np.mean(np.log(picked)))

@@ -7,7 +7,6 @@ from graphdistill.model import (
     ROW_BLOCK,
     AdamState,
     DivergedError,
-    TrainConfig,
     backward,
     forward,
     forward_cache,
@@ -17,6 +16,7 @@ from graphdistill.model import (
     softmax_predict,
     train_classifier,
 )
+from graphdistill.pipeline import PipelineConfig
 
 
 def _loss(params, z, labels, mask, wd=0.0):
@@ -107,7 +107,7 @@ def test_softmax_cross_entropy_matches_hand_built_blocks_bitwise(rows, k):
     P, loss, dlogits = softmax_cross_entropy(logits, labels)
     assert _same_bytes(P, want_P)
 
-    # train_classifier's block: the loss over every batch row and a
+    # train_classifier's block: the loss over every training row and a
     # precomputed one-hot divided by float(rows)
     assert _same_bytes(loss, _masked_cross_entropy_reference(want_P, labels, np.ones(rows, bool)))
     assert _same_bytes(dlogits, (want_P - onehot) / float(rows))
@@ -192,8 +192,8 @@ def test_plain_descent_loss_non_increasing():
         z = rng.standard_normal((20, 4))
         labels = rng.integers(0, 3, size=20)
         params = init_classifier(rng, 4, 3, depth=2, hidden_dim=8)
-        cfg = TrainConfig(epochs=10, learning_rate=0.05, weight_decay=0.0, seed=seed)
-        _, losses = train_classifier(z, labels, np.ones(20, bool), params, cfg)
+        cfg = PipelineConfig(E1=10, lr=0.05, weight_decay=0.0, pretrain_optimizer="gd")
+        _, losses = train_classifier(z, labels, np.ones(20, bool), params, cfg, seed)
         assert all(losses[i + 1] <= losses[i] + 1e-12 for i in range(len(losses) - 1))
 
 
@@ -202,8 +202,8 @@ def test_training_fits_separable_blobs():
     z = np.vstack([rng.standard_normal((20, 2)) + 8.0, rng.standard_normal((20, 2)) - 8.0])
     labels = np.array([0] * 20 + [1] * 20)
     params = init_classifier(rng, 2, 2, depth=1)
-    cfg = TrainConfig(epochs=200, learning_rate=0.5, weight_decay=0.0, seed=0)
-    trained, _ = train_classifier(z, labels, np.ones(40, bool), params, cfg)
+    cfg = PipelineConfig(E1=200, lr=0.5, weight_decay=0.0, pretrain_optimizer="gd")
+    trained, _ = train_classifier(z, labels, np.ones(40, bool), params, cfg, 0)
     pred = np.argmax(forward(trained, z), axis=1)
     assert np.mean(pred == labels) == 1.0
 
@@ -213,8 +213,8 @@ def test_zero_learning_rate_keeps_params():
     z = rng.standard_normal((10, 3))
     labels = rng.integers(0, 2, size=10)
     params = init_classifier(rng, 3, 2, depth=2, hidden_dim=4)
-    cfg = TrainConfig(epochs=5, learning_rate=0.0, weight_decay=0.0, seed=0)
-    trained, _ = train_classifier(z, labels, np.ones(10, bool), params, cfg)
+    cfg = PipelineConfig(E1=5, lr=0.0, weight_decay=0.0, pretrain_optimizer="gd")
+    trained, _ = train_classifier(z, labels, np.ones(10, bool), params, cfg, 0)
     for w0, w1 in zip(params.weights, trained.weights):
         assert np.array_equal(w0, w1)
 
@@ -225,20 +225,20 @@ def test_divergence_raises_with_epoch():
     z = rng.standard_normal((10, 3))
     labels = rng.integers(0, 2, size=10)
     params = init_classifier(rng, 3, 2, depth=2, hidden_dim=4)
-    cfg = TrainConfig(epochs=50, learning_rate=1e120, weight_decay=0.0, seed=0)
+    cfg = PipelineConfig(E1=50, lr=1e120, weight_decay=0.0, pretrain_optimizer="gd")
     with pytest.raises(DivergedError) as err:
-        train_classifier(z, labels, np.ones(10, bool), params, cfg)
+        train_classifier(z, labels, np.ones(10, bool), params, cfg, 0)
     assert err.value.epoch >= 0
 
 
-def test_training_determinism_and_minibatch():
+def test_training_with_dropout_is_deterministic():
     rng = np.random.default_rng(8)
     z = rng.standard_normal((30, 4))
     labels = rng.integers(0, 3, size=30)
     params = init_classifier(rng, 4, 3, depth=2, hidden_dim=6, dropout_rate=0.3)
-    cfg = TrainConfig(epochs=15, learning_rate=0.1, seed=9, batch_size=8)
-    a, _ = train_classifier(z, labels, np.ones(30, bool), params, cfg)
-    b, _ = train_classifier(z, labels, np.ones(30, bool), params, cfg)
+    cfg = PipelineConfig(E1=15, lr=0.1, pretrain_optimizer="gd")
+    a, _ = train_classifier(z, labels, np.ones(30, bool), params, cfg, 9)
+    b, _ = train_classifier(z, labels, np.ones(30, bool), params, cfg, 9)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
 
@@ -248,9 +248,9 @@ def test_adam_path_runs_and_is_deterministic():
     z = rng.standard_normal((25, 4))
     labels = rng.integers(0, 3, size=25)
     params = init_classifier(rng, 4, 3, depth=3, hidden_dim=6)
-    cfg = TrainConfig(epochs=30, learning_rate=0.01, seed=1, optimizer="adam")
-    a, losses = train_classifier(z, labels, np.ones(25, bool), params, cfg)
-    b, _ = train_classifier(z, labels, np.ones(25, bool), params, cfg)
+    cfg = PipelineConfig(E1=30, lr=0.01, pretrain_optimizer="adam")
+    a, losses = train_classifier(z, labels, np.ones(25, bool), params, cfg, 1)
+    b, _ = train_classifier(z, labels, np.ones(25, bool), params, cfg, 1)
     assert losses[-1] < losses[0]
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
@@ -280,30 +280,31 @@ def test_adam_step_matches_reference_formula():
             assert np.array_equal(adam.v[i], ref_v[i])
 
 
-@pytest.mark.parametrize("batch_size", [0, 6])
-def test_training_reads_only_masked_rows(batch_size):
+def test_training_reads_only_masked_rows():
     rng = np.random.default_rng(11)
     z = rng.standard_normal((30, 4))
     labels = rng.integers(0, 3, size=30)
     mask = rng.random(30) < 0.5
     z[~mask] = np.nan
     params = init_classifier(rng, 4, 3, depth=3, hidden_dim=6, dropout_rate=0.3)
-    cfg = TrainConfig(
-        epochs=10, learning_rate=0.05, seed=2, batch_size=batch_size, optimizer="adam"
-    )
-    trained, losses = train_classifier(z, labels, mask, params, cfg)
+    cfg = PipelineConfig(E1=10, lr=0.05, pretrain_optimizer="adam")
+    trained, losses = train_classifier(z, labels, mask, params, cfg, 2)
     assert np.all(np.isfinite(losses))
     for w, b in zip(trained.weights, trained.biases):
         assert np.all(np.isfinite(w)) and np.all(np.isfinite(b))
     # the rows outside the mask do not change the result
     z_clean = np.where(mask[:, None], z, 0.0)
-    again, _ = train_classifier(z_clean, labels, mask, params, cfg)
+    again, _ = train_classifier(z_clean, labels, mask, params, cfg, 2)
     for wa, wb in zip(trained.weights, again.weights):
         assert np.array_equal(wa, wb)
 
 
-def _forward_cache_reference(params, z, train_mode=False, rng=None):
-    """The head's forward with a (mask, scale) pair per hidden layer."""
+def _forward_cache_reference(params, z, rng=None):
+    """The head's forward with a (mask, scale) pair per hidden layer.
+
+    Dropout applies when an rng is given; without one this is the
+    eval-mode forward.
+    """
     h = np.asarray(z, dtype=np.float64)
     inputs, act = [], []
     p = params.dropout_rate
@@ -316,7 +317,7 @@ def _forward_cache_reference(params, z, train_mode=False, rng=None):
         mask = s > 0.0
         h = s * mask
         scale = None
-        if train_mode and p > 0.0:
+        if rng is not None and p > 0.0:
             keep = rng.random(h.shape) >= p
             scale = keep / (1.0 - p)
             h = h * scale
@@ -358,14 +359,16 @@ def _head_with_zeros(seed, rows, depth, d=32, hidden=256, k=4, dropout=0.5):
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
-@pytest.mark.parametrize("train_mode", [False, True])
-def test_gated_layers_match_mask_and_scale_reference_bitwise(depth, train_mode):
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_gated_layers_match_mask_and_scale_reference_bitwise(depth, dropout):
     # the dropout keep-mask is drawn in row blocks; the rows span three
     # blocks, the last with the leftover rows
-    params, z = _head_with_zeros(10 + depth, 3 * ROW_BLOCK + 37, depth, hidden=64)
+    params, z = _head_with_zeros(
+        10 + depth, 3 * ROW_BLOCK + 37, depth, hidden=64, dropout=dropout
+    )
     rng_got, rng_want = np.random.default_rng(3), np.random.default_rng(3)
-    got, cache = forward_cache(params, z, train_mode, rng_got)
-    want, ref_cache = _forward_cache_reference(params, z, train_mode, rng_want)
+    got, cache = forward_cache(params, z, rng_got)
+    want, ref_cache = _forward_cache_reference(params, z, rng_want)
     assert got.tobytes() == want.tobytes()
     for a, b in zip(cache["inputs"], ref_cache["inputs"]):
         assert a.tobytes() == b.tobytes()
@@ -404,10 +407,10 @@ def test_training_epochs_hold_fewer_than_four_hidden_activations():
     labels = rng.integers(0, 4, size=rows)
     mask = np.ones(rows, dtype=bool)
     params = init_classifier(rng, 32, 4, depth=3, hidden_dim=hidden, dropout_rate=0.5)
-    cfg = TrainConfig(epochs=2, learning_rate=0.01, optimizer="adam", seed=1)
+    cfg = PipelineConfig(E1=2, lr=0.01, pretrain_optimizer="adam")
     tracemalloc.start()
     try:
-        train_classifier(z, labels, mask, params, cfg)
+        train_classifier(z, labels, mask, params, cfg, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -126,7 +126,7 @@ def test_resolve_synthetic_size():
         resolve_synthetic_size(_fast_config(num_synthetic=0, ratio=0.1), ds) == 8
     )
     n_train = int(ds.train_mask.sum())
-    expected = max(1, int(round(0.1 * n_train)))
+    expected = int(round(0.1 * n_train))
     got = resolve_synthetic_size(
         _fast_config(num_synthetic=0, ratio=0.1, ratio_base="train"), ds
     )
@@ -198,10 +198,27 @@ def test_pipeline_identity_adjacency_variant():
     assert np.array_equal(result.condensed.a_prime, np.eye(8))
 
 
-def test_pipeline_stage_failure_is_named():
+def test_pipeline_stage_failure_is_named(stage_times):
     ds = _small_sbm(0)
-    with pytest.raises(PipelineError, match="stage 'cluster' failed"):
+    with pytest.raises(PipelineError, match="stage 'propagate' failed: .*below N"):
         run_pipeline(ds, _fast_config(num_synthetic=200))
+    assert stage_times == {}
+
+
+@pytest.mark.parametrize(
+    "overrides, n",
+    [(dict(ratio=0.001, num_synthetic=0), 0), (dict(num_synthetic=1), 1)],
+    ids=["ratio-rounds-to-0", "num_synthetic-1"],
+)
+def test_synthetic_size_below_two_is_refused(overrides, n, stage_times):
+    ds = _small_sbm(0)
+    with pytest.raises(GraphError, match=f"synthetic node count {n} is below 2$"):
+        resolve_synthetic_size(_fast_config(**overrides), ds)
+    with pytest.raises(
+        PipelineError, match=f"stage 'propagate' failed: synthetic node count {n} is below 2$"
+    ):
+        run_pipeline(ds, _fast_config(**overrides))
+    assert stage_times == {}
 
 
 def test_best_val_without_validation_rows_fails_in_evaluate():
@@ -238,6 +255,7 @@ def test_misspelled_choice_is_refused(field, value, stage_times):
 
 # The allowed range that each refusal names.
 ALLOWED = {
+    "alpha": "in [0, 1)",
     "dropout": "in [0, 1)",
     "eval_dropout": "in [0, 1)",
     "alpha_prime": "below 1 (a negative value reuses alpha)",
@@ -250,6 +268,9 @@ ALLOWED = {
 @pytest.mark.parametrize(
     "field, value",
     [
+        ("alpha", 1.0),
+        ("alpha", -0.1),
+        ("T", -1),
         ("dropout", 1.0),
         ("dropout", 1.5),
         ("dropout", -0.2),

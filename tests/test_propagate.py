@@ -1,9 +1,7 @@
 import numpy as np
-import pytest
 
-from graphdistill.graph import GraphError, SparseGraph, gls_objective, normalized_adjacency
+from graphdistill.graph import SparseGraph, gls_objective, normalized_adjacency
 from graphdistill.propagate import (
-    PropagationConfig,
     gls_propagate,
     gls_solve_exact,
     propagate_dense,
@@ -12,28 +10,19 @@ from graphdistill.propagate import (
 from conftest import random_graph
 
 
-def test_config_validation():
-    with pytest.raises(GraphError):
-        PropagationConfig(alpha=1.0, T=2)
-    with pytest.raises(GraphError):
-        PropagationConfig(alpha=-0.1, T=2)
-    with pytest.raises(GraphError):
-        PropagationConfig(alpha=0.5, T=-1)
-
-
 def test_truncation_and_alpha_degenerate_cases(rng):
     g = random_graph(rng, 8, 0.4, min_degree=1)
     a = normalized_adjacency(g)
     x = rng.standard_normal((8, 3))
-    assert np.array_equal(gls_propagate(a, x, PropagationConfig(0.3, 0)), 0.7 * x)
-    assert np.allclose(gls_propagate(a, x, PropagationConfig(0.0, 5)), x)
+    assert np.array_equal(gls_propagate(a, x, 0.3, 0), 0.7 * x)
+    assert np.allclose(gls_propagate(a, x, 0.0, 5), x)
 
 
 def test_two_node_worked_example():
     g = SparseGraph.from_edges(2, [(0, 1)])
     a = normalized_adjacency(g)
     x = np.array([[1.0], [0.0]])
-    z = gls_propagate(a, x, PropagationConfig(0.5, 1))
+    z = gls_propagate(a, x, 0.5, 1)
     assert np.allclose(z, [[0.5], [0.25]])
 
 
@@ -52,7 +41,7 @@ def test_truncated_series_approaches_exact_solution():
         a = normalized_adjacency(g)
         x = rng.standard_normal((30, 4))
         exact = gls_solve_exact(a, x, 0.5)
-        z = gls_propagate(a, x, PropagationConfig(0.5, 200))
+        z = gls_propagate(a, x, 0.5, 200)
         rel = np.linalg.norm(z - exact) / np.linalg.norm(exact)
         assert rel <= 1e-6
 
@@ -63,7 +52,7 @@ def test_series_error_is_monotone_in_depth(rng):
     x = rng.standard_normal((20, 2))
     exact = gls_solve_exact(a, x, 0.6)
     errs = [
-        np.linalg.norm(gls_propagate(a, x, PropagationConfig(0.6, t)) - exact)
+        np.linalg.norm(gls_propagate(a, x, 0.6, t) - exact)
         for t in range(0, 25)
     ]
     assert all(errs[t + 1] <= errs[t] + 1e-12 for t in range(len(errs) - 1))
@@ -87,7 +76,7 @@ def test_cycle_graph_preserves_constant_columns():
     a = normalized_adjacency(g)
     x = np.full((n, 2), 3.0)
     x[:, 1] = -1.5
-    z = gls_propagate(a, x, PropagationConfig(0.8, 7))
+    z = gls_propagate(a, x, 0.8, 7)
     # every row identical, bit for bit
     assert np.array_equal(z, np.tile(z[0], (n, 1)))
 
@@ -96,7 +85,7 @@ def test_propagate_dense_matches_sparse(rng):
     g = random_graph(rng, 9, 0.5, min_degree=1)
     a = normalized_adjacency(g)
     x = rng.standard_normal((9, 4))
-    sparse_z = gls_propagate(a, x, PropagationConfig(0.4, 6))
+    sparse_z = gls_propagate(a, x, 0.4, 6)
     dense_z = propagate_dense(a.to_scipy().toarray(), x, 0.4, 6)
     assert np.allclose(sparse_z, dense_z, atol=1e-12)
 
@@ -105,6 +94,6 @@ def test_propagate_determinism(rng):
     g = random_graph(rng, 15, 0.3, min_degree=1)
     a = normalized_adjacency(g)
     x = rng.standard_normal((15, 3))
-    z1 = gls_propagate(a, x, PropagationConfig(0.5, 10))
-    z2 = gls_propagate(a, x, PropagationConfig(0.5, 10))
+    z1 = gls_propagate(a, x, 0.5, 10)
+    z2 = gls_propagate(a, x, 0.5, 10)
     assert np.array_equal(z1, z2)

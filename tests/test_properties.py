@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import random_graph
 from graphdistill.cluster import Clustering, cluster_means
 from graphdistill.graph import normalized_adjacency
-from graphdistill.propagate import PropagationConfig, gls_propagate, propagate_dense
+from graphdistill.propagate import gls_propagate, propagate_dense
 
 PROPERTY = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 
@@ -21,7 +21,7 @@ values = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def propagation_cases(draw):
-    """A normalized adjacency, two feature matrices and a config."""
+    """A normalized adjacency, two feature matrices, alpha and T."""
     n = draw(st.integers(2, 12))
     d = draw(st.integers(1, 4))
     graph = random_graph(
@@ -32,16 +32,17 @@ def propagation_cases(draw):
     )
     X = draw(arrays(np.float64, (n, d), elements=values))
     Y = draw(arrays(np.float64, (n, d), elements=values))
-    cfg = PropagationConfig(draw(st.floats(0.0, 0.99)), draw(st.integers(0, 8)))
-    return normalized_adjacency(graph), X, Y, cfg
+    alpha = draw(st.floats(0.0, 0.99))
+    T = draw(st.integers(0, 8))
+    return normalized_adjacency(graph), X, Y, alpha, T
 
 
 @PROPERTY
 @given(propagation_cases(), values, values)
 def test_gls_propagate_is_linear(case, a, b):
-    a_norm, X, Y, cfg = case
-    combined = gls_propagate(a_norm, a * X + b * Y, cfg)
-    separate = a * gls_propagate(a_norm, X, cfg) + b * gls_propagate(a_norm, Y, cfg)
+    a_norm, X, Y, alpha, T = case
+    combined = gls_propagate(a_norm, a * X + b * Y, alpha, T)
+    separate = a * gls_propagate(a_norm, X, alpha, T) + b * gls_propagate(a_norm, Y, alpha, T)
     scale = 1.0 + (abs(a) + abs(b)) * 10.0
     assert np.max(np.abs(combined - separate), initial=0.0) <= 1e-12 * scale
 
@@ -49,9 +50,9 @@ def test_gls_propagate_is_linear(case, a, b):
 @PROPERTY
 @given(propagation_cases())
 def test_gls_propagate_matches_dense_kernel(case):
-    a_norm, X, _, cfg = case
-    sparse_z = gls_propagate(a_norm, X, cfg)
-    dense_z = propagate_dense(a_norm.to_scipy().toarray(), X, cfg.alpha, cfg.T)
+    a_norm, X, _, alpha, T = case
+    sparse_z = gls_propagate(a_norm, X, alpha, T)
+    dense_z = propagate_dense(a_norm.to_scipy().toarray(), X, alpha, T)
     assert np.max(np.abs(sparse_z - dense_z), initial=0.0) <= 1e-12
 
 
