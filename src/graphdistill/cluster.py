@@ -27,14 +27,61 @@ class Clustering:
     wcss_trace: list[float] = field(default_factory=list)
 
 
+def _row_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of a, added as np.sum(a.T, axis=1) adds.
+
+    numpy sums a contiguous row pairwise: fewer than 8 terms one after
+    another from zero, up to 128 in eight interleaved partial sums, and
+    more by halving at a multiple of 8. Each step here is elementwise over
+    the N columns, so every sum equals the row-wise one bit for bit. a is
+    overwritten.
+    """
+    n = a.shape[0]
+    if n < 8:
+        out.fill(0.0)
+        for row in a:
+            out += row
+        return out
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        _row_sums(a[:half], out)
+        out += _row_sums(a[half:], np.empty_like(out))
+        return out
+    full = n - n % 8
+    acc = a[:8]
+    for i in range(8, full, 8):
+        acc += a[i : i + 8]
+    np.add(acc[0::2], acc[1::2], out=acc[0::2])
+    np.add(acc[0::4], acc[2::4], out=acc[0::4])
+    np.add(acc[0], acc[4], out=out)
+    for row in a[full:]:
+        out += row
+    return out
+
+
 def _kmeans_pp(
     points: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Classic k-means++ seeding; indices are distinct by construction."""
+    """Classic k-means++ seeding; indices are distinct by construction.
+
+    Distances are formed on a column-major copy of the points, so every
+    elementwise pass runs along N, into buffers allocated once per call;
+    _row_sums keeps them equal to the row-wise sum((points - c) ** 2,
+    axis=1) bit for bit, so the draws match.
+    """
     N = points.shape[0]
+    cols = points.T.copy()
+    sq = np.empty_like(cols)
+
+    def sq_dist(index: int, out: np.ndarray) -> np.ndarray:
+        np.subtract(cols, points[index][:, None], out=sq)
+        np.square(sq, out=sq)
+        return _row_sums(sq, out)
+
     chosen = np.empty(n, dtype=np.int64)
     chosen[0] = rng.integers(N)
-    dist = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    dist = sq_dist(chosen[0], np.empty(N))
+    new = np.empty(N)
     for k in range(1, n):
         total = dist.sum()
         if total <= 0.0:
@@ -42,7 +89,7 @@ def _kmeans_pp(
             chosen[k] = rng.choice(remaining)
         else:
             chosen[k] = rng.choice(N, p=dist / total)
-        dist = np.minimum(dist, np.sum((points - points[chosen[k]]) ** 2, axis=1))
+        np.minimum(dist, sq_dist(chosen[k], new), out=dist)
     return points[chosen].copy()
 
 
@@ -52,22 +99,43 @@ def _kmeans_pp(
 ASSIGN_BLOCK = 1024
 
 
-def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _point_terms(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(2 p, |p|^2) per point: the point side of every assignment pass."""
+    return 2.0 * points, np.einsum("ij,ij->i", points, points)
+
+
+def _assign(
+    points: np.ndarray,
+    centers: np.ndarray,
+    terms: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Index of the nearest center per point, ASSIGN_BLOCK points at a time.
 
-    Squared distances are |p|^2 + |c|^2 - 2 p.c, clipped at zero; argmin
-    returns the lowest index on ties. The blocks are model.row_blocks, so
+    Squared distances are |p|^2 + |c|^2 - 2 p.c; terms is _point_terms(points)
+    when the caller forms it once for many passes. The nearest center is
+    the one that argmin would pick after clipping the distances at zero:
+    every nonpositive distance ties at zero there, so a row whose minimum is
+    <= 0 takes its first such index. The blocks are model.row_blocks, so
     the result equals that of one N x n distance matrix as long as a row's
     GEMM result does not depend on how many rows the call holds.
     """
-    N = points.shape[0]
-    sq_p = np.einsum("ij,ij->i", points, points)[:, None]
-    sq_c = np.einsum("ij,ij->i", centers, centers)[None, :]
+    twice, sq_p = _point_terms(points) if terms is None else terms
+    N = twice.shape[0]
+    sq_c = np.einsum("ij,ij->i", centers, centers)
+    blocks = row_blocks(N, ASSIGN_BLOCK)
+    rows = max(hi - lo for lo, hi in blocks)
+    prod = np.empty((rows, centers.shape[0]))
+    dist = np.empty_like(prod)
     assignment = np.empty(N, dtype=np.int64)
-    for lo, hi in row_blocks(N, ASSIGN_BLOCK):
-        d = sq_p[lo:hi] + sq_c - 2.0 * points[lo:hi] @ centers.T
-        np.maximum(d, 0.0, out=d)
-        assignment[lo:hi] = np.argmin(d, axis=1)
+    for lo, hi in blocks:
+        p, d = prod[: hi - lo], dist[: hi - lo]
+        np.matmul(twice[lo:hi], centers.T, out=p)
+        np.add(sq_p[lo:hi, None], sq_c, out=d)
+        d -= p
+        best = np.argmin(d, axis=1)
+        low = np.flatnonzero(d[np.arange(hi - lo), best] <= 0.0)
+        best[low] = np.argmax(d[low] <= 0.0, axis=1)
+        assignment[lo:hi] = best
     return assignment
 
 
@@ -115,9 +183,10 @@ def _lloyd(
     centers: np.ndarray,
     max_iter: int,
     tol: float,
+    terms: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     n = centers.shape[0]
-    assignment = _assign(points, centers)
+    assignment = _assign(points, centers, terms)
     assignment = _repair_empty(points, centers, assignment)
     means = _means(points, assignment, n)
     trace = [_wcss_raw(points, means, assignment)]
@@ -125,7 +194,7 @@ def _lloyd(
     for _ in range(max_iter):
         shift = float(np.max(np.linalg.norm(means - centers, axis=1)))
         centers = means
-        assignment = _assign(points, centers)
+        assignment = _assign(points, centers, terms)
         assignment = _repair_empty(points, centers, assignment)
         means = _means(points, assignment, n)
         trace.append(_wcss_raw(points, means, assignment))
@@ -157,10 +226,11 @@ def kmeans(
     if not 1 <= n <= N:
         raise ValueError("cluster count must satisfy 1 <= n <= N")
     rng = np.random.default_rng(seed)
+    terms = _point_terms(points)
     best: tuple[float, np.ndarray, np.ndarray, list[float]] | None = None
     for _ in range(max(1, n_init)):
         centers = _kmeans_pp(points, n, rng)
-        assignment, centers, trace = _lloyd(points, centers, max_iter, tol)
+        assignment, centers, trace = _lloyd(points, centers, max_iter, tol, terms)
         score = trace[-1]
         if best is None or score < best[0]:
             best = (score, assignment, centers, trace)
@@ -176,26 +246,31 @@ def minibatch_kmeans(
     max_iter: int = 300,
     batch_size: int = 1000,
     tol: float = 1e-4,
+    n_init: int = 10,
 ) -> Clustering:
     """Streaming centroid updates on seeded batches.
 
-    A batch size of at least N degenerates to the full-batch routine and
-    reproduces its trajectory for the same seed.
+    A batch size of at least N degenerates to the full-batch routine, with
+    its n_init seedings, and reproduces its trajectory for the same seed.
     """
     points = np.asarray(points, dtype=np.float64)
     N = points.shape[0]
     if batch_size >= N:
-        return kmeans(points, n, seed=seed, max_iter=max_iter, tol=tol)
+        return kmeans(
+            points, n, seed=seed, max_iter=max_iter, tol=tol, n_init=n_init
+        )
     if not 1 <= n <= N:
         raise ValueError("cluster count must satisfy 1 <= n <= N")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp(points, n, rng)
+    terms = _point_terms(points)
+    twice, sq_p = terms
     counts = np.zeros(n)
     calm = 0
     for _ in range(max_iter):
         batch = rng.choice(N, size=batch_size, replace=False)
         pts = points[batch]
-        labels = _assign(pts, centers)
+        labels = _assign(pts, centers, (twice[batch], sq_p[batch]))
         # one grouped update of every cluster the batch hit
         hits = np.bincount(labels, minlength=n)
         sums = np.zeros_like(centers)
@@ -208,7 +283,7 @@ def minibatch_kmeans(
         calm = calm + 1 if shift < tol else 0
         if calm >= 3:
             break
-    assignment = _assign(points, centers)
+    assignment = _assign(points, centers, terms)
     assignment = _repair_empty(points, centers, assignment)
     centers = _means(points, assignment, n)
     sizes = np.bincount(assignment, minlength=n)

@@ -297,6 +297,7 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
             clustering = minibatch_kmeans(
                 H, n, seed=s_cluster, max_iter=cfg.E2,
                 batch_size=cfg.kmeans_batch, tol=cfg.kmeans_tol,
+                n_init=cfg.kmeans_n_init,
             )
         else:
             clustering = kmeans(
@@ -427,6 +428,10 @@ class SbmSpec:
             raise ValueError("need at least one node per class")
 
 
+# Rows of a class-pair block that generate_sbm draws per call.
+SBM_DRAW_ROWS = 256
+
+
 def generate_sbm(spec: SbmSpec) -> Dataset:
     """Sample a block-model dataset with a seeded 60/20/20 node split.
 
@@ -444,16 +449,18 @@ def generate_sbm(spec: SbmSpec) -> Dataset:
     for ci in range(K):
         for cj in range(ci, K):
             si, sj = sizes[ci], sizes[cj]
-            if ci == cj:
-                draw = rng.random((si, si))
-                ii, jj = np.nonzero(np.triu(draw < spec.intra_prob, k=1))
-            else:
-                draw = rng.random((si, sj))
-                ii, jj = np.nonzero(draw < spec.inter_prob)
-            if ii.size:
-                edges.append(
-                    np.column_stack([offsets[ci] + ii, offsets[cj] + jj])
-                )
+            prob = spec.intra_prob if ci == cj else spec.inter_prob
+            # SBM_DRAW_ROWS rows at a time draw the same stream as one
+            # si x sj draw, in a fraction of its memory
+            for lo in range(0, si, SBM_DRAW_ROWS):
+                hit = rng.random((min(SBM_DRAW_ROWS, si - lo), sj)) < prob
+                if ci == cj:
+                    hit = np.triu(hit, k=1 + lo)
+                ii, jj = np.nonzero(hit)
+                if ii.size:
+                    edges.append(
+                        np.column_stack([offsets[ci] + lo + ii, offsets[cj] + jj])
+                    )
     edge_array = (
         np.concatenate(edges) if edges else np.empty((0, 2), dtype=np.int64)
     )

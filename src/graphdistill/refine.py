@@ -112,7 +112,9 @@ def sample_class_graphs(
     sampled = []
     for y in range(P.shape[1]):
         w = class_edge_weights(a_norm, P, resistance, y)
-        order = np.lexsort((e[:, 1], e[:, 0], -w))
+        # undirected_edges() is in lexicographic order, so a stable sort
+        # breaks ties on the edge id
+        order = np.argsort(-w, kind="stable")
         top = order[:m_keep]
         kept_vals = vals[top] if weighting == "adjacency" else w[top]
         rows = np.concatenate([e[top, 0], e[top, 1]])

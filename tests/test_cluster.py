@@ -10,6 +10,7 @@ from graphdistill.cluster import (
     _kmeans_pp,
     _means,
     _repair_empty,
+    _row_sums,
     _wcss_raw,
     cluster_means,
     kmeans,
@@ -118,6 +119,20 @@ def test_minibatch_with_large_batch_matches_full():
     mini = minibatch_kmeans(pts, 4, seed=9, batch_size=50, tol=1e-4)
     assert np.array_equal(full.assignment, mini.assignment)
     assert np.array_equal(full.centroids, mini.centroids)
+
+
+
+def test_minibatch_with_large_batch_keeps_n_init():
+    rng = np.random.default_rng(14)
+    pts = rng.standard_normal((120, 3))
+    for n_init in (1, 2):
+        full = kmeans(pts, 6, seed=4, n_init=n_init)
+        mini = minibatch_kmeans(pts, 6, seed=4, batch_size=120, n_init=n_init)
+        # the default ten seedings find another partition of these points
+        assert full.wcss_trace != kmeans(pts, 6, seed=4).wcss_trace
+        assert np.array_equal(full.assignment, mini.assignment)
+        assert np.array_equal(full.centroids, mini.centroids)
+        assert full.wcss_trace == mini.wcss_trace
 
 
 def test_minibatch_recovers_separated_blobs():
@@ -291,6 +306,68 @@ def test_row_blocked_assign_matches_unblocked_reference(N):
     want = _assign_unblocked(points, centers)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+def test_assign_near_zero_distances_pick_first_clipped_minimum():
+    # |p| ~ 1e4 within 1e-9 of three nearly equal centers: |p|^2 + |c|^2 -
+    # 2 p.c rounds below zero, often for two of them in one row, where the
+    # raw argmin would pick the more negative distance
+    rng = np.random.default_rng(15)
+    base = rng.standard_normal(8)
+    base *= 1e4 / np.linalg.norm(base)
+    near = base + 1e-9 * rng.standard_normal((3, 8))
+    centers = np.vstack([1e4 * rng.standard_normal((3, 8)), near])
+    points = base + 1e-9 * rng.standard_normal((200, 8))
+    d = (
+        np.einsum("ij,ij->i", points, points)[:, None]
+        + np.einsum("ij,ij->i", centers, centers)[None, :]
+        - 2.0 * points @ centers.T
+    )
+    assert np.any(np.argmin(d, axis=1) != np.argmin(np.maximum(d, 0.0), axis=1))
+    assert np.array_equal(_assign(points, centers), _assign_unblocked(points, centers))
+
+
+# The k-means++ seeding as a row-wise loop; the library forms the same
+# distances column by column and must pick the same centers.
+
+
+def _kmeans_pp_rowwise(points, n, rng):
+    N = points.shape[0]
+    chosen = np.empty(n, dtype=np.int64)
+    chosen[0] = rng.integers(N)
+    dist = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    for k in range(1, n):
+        total = dist.sum()
+        if total <= 0.0:
+            remaining = np.setdiff1d(np.arange(N), chosen[:k])
+            chosen[k] = rng.choice(remaining)
+        else:
+            chosen[k] = rng.choice(N, p=dist / total)
+        dist = np.minimum(dist, np.sum((points - points[chosen[k]]) ** 2, axis=1))
+    return points[chosen].copy()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 7, 8, 13, 130])
+def test_kmeans_pp_matches_rowwise_reference_bitwise(dim):
+    # 8 and more columns are summed pairwise by np.sum, 130 by halving first
+    rng = np.random.default_rng(dim)
+    pts = rng.standard_normal((500, dim)) * rng.uniform(0.1, 100.0, size=dim)
+    # the picks rarely move with a distance's last bit, so check the sums too
+    sq = (pts - pts[0]) ** 2
+    assert np.array_equal(_row_sums(sq.T.copy(), np.empty(500)), np.sum(sq, axis=1))
+    for seed in range(4):
+        got = _kmeans_pp(pts, 40, np.random.default_rng(seed))
+        want = _kmeans_pp_rowwise(pts, 40, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+
+
+def test_kmeans_pp_duplicates_match_rowwise_reference_bitwise():
+    # all distances are zero, so every pick after the first is uniform
+    pts = np.tile([[1.5, -2.0, 0.25]], (30, 1))
+    for seed in range(3):
+        gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(_kmeans_pp(pts, 5, gen), _kmeans_pp_rowwise(pts, 5, ref))
+        assert gen.random() == ref.random()
 
 
 def test_assign_holds_less_than_one_distance_matrix():

@@ -14,6 +14,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from graphdistill import cluster
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # (module, function, index, name) of each parameter that a span reads from
@@ -52,3 +56,22 @@ def test_parameters_read_by_position_stay_in_place():
         fn = getattr(importlib.import_module(f"graphdistill.{module}"), function)
         params = list(inspect.signature(fn).parameters)
         assert params[index : index + 1] == [name], f"{module}.{function}{params}"
+
+
+def test_every_assignment_pass_goes_through_the_module_attribute(monkeypatch):
+    # the tracer counts cluster.iterations by wrapping cluster._assign; a
+    # pass made through a local alias or a closure would not be counted
+    calls = []
+    assign = cluster._assign
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return assign(*args, **kwargs)
+
+    monkeypatch.setattr(cluster, "_assign", counted)
+    pts = np.random.default_rng(0).standard_normal((300, 4))
+    result = cluster.kmeans(pts, 5, seed=1, n_init=1)
+    assert len(calls) == len(result.wcss_trace)
+    calls.clear()
+    cluster.minibatch_kmeans(pts, 5, seed=1, max_iter=7, batch_size=50, tol=0.0)
+    assert len(calls) == 7 + 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphdistill import evaluate, pipeline
-from graphdistill.graph import GraphError, homophily_ratio
+from graphdistill.graph import GraphError, homophily_ratio, normalize_rows
 from graphdistill.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -75,6 +75,44 @@ def test_sbm_is_deterministic():
     assert np.array_equal(a.graph.undirected_edges(), b.graph.undirected_edges())
     assert np.array_equal(a.train_mask, b.train_mask)
     assert a.name == b.name
+
+
+def _sbm_dense_draw(spec):
+    """Edges, features and split from one uniform draw per class-pair block."""
+    rng = np.random.default_rng(spec.seed)
+    N, K = spec.num_nodes, spec.num_classes
+    sizes = np.full(K, N // K)
+    sizes[: N % K] += 1
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    edges = []
+    for ci in range(K):
+        for cj in range(ci, K):
+            draw = rng.random((sizes[ci], sizes[cj]))
+            if ci == cj:
+                ii, jj = np.nonzero(np.triu(draw < spec.intra_prob, k=1))
+            else:
+                ii, jj = np.nonzero(draw < spec.inter_prob)
+            edges.append(np.column_stack([offsets[ci] + ii, offsets[cj] + jj]))
+    means = spec.separation * normalize_rows(rng.standard_normal((K, spec.feature_dim)))
+    noise = spec.noise_scale * rng.standard_normal((N, spec.feature_dim))
+    features = means[np.repeat(np.arange(K), sizes)] + noise
+    return np.concatenate(edges), features, rng.permutation(N)
+
+
+def test_sbm_row_chunked_draw_matches_dense_draw():
+    # N % K != 0, and blocks of 401 and 400 rows: more than one chunk of
+    # SBM_DRAW_ROWS, and not a multiple of it
+    spec = SbmSpec(
+        num_nodes=1202, num_classes=3, intra_prob=0.02, inter_prob=0.004,
+        feature_dim=5, separation=2.0, seed=17,
+    )
+    assert spec.num_nodes // 3 > pipeline.SBM_DRAW_ROWS
+    edges, features, perm = _sbm_dense_draw(spec)
+    ds = generate_sbm(spec)
+    assert np.array_equal(ds.graph.undirected_edges(), edges[np.lexsort(edges.T[::-1])])
+    assert features.tobytes() == ds.features.tobytes()
+    n_train = int(round(0.6 * spec.num_nodes))
+    assert np.array_equal(np.flatnonzero(ds.train_mask), np.sort(perm[:n_train]))
 
 
 def test_sbm_pure_intra_edges_are_homophilic():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import random_graph
 from graphdistill.condense import CondensedGraph
@@ -129,6 +130,43 @@ def test_sampling_tie_break_is_lexicographic():
     out = sample_class_graphs(g, P, res, rho=0.3)
     kept = out.sampled[0].tocoo()
     assert {(i, j) for i, j in zip(kept.row, kept.col)} == {(0, 1), (1, 0)}
+
+
+def _sample_class_graphs_lexsort(a_norm, P, res, rho, weighting):
+    """The top-weight edges per class, ties broken by an explicit edge-id key."""
+    e = a_norm.undirected_edges()
+    vals = a_norm.edge_values()
+    m_keep = min(e.shape[0], int(np.ceil(rho * e.shape[0])))
+    N = a_norm.num_nodes
+    out = []
+    for y in range(P.shape[1]):
+        w = class_edge_weights(a_norm, P, res, y)
+        top = np.lexsort((e[:, 1], e[:, 0], -w))[:m_keep]
+        kept = vals[top] if weighting == "adjacency" else w[top]
+        rows = np.concatenate([e[top, 0], e[top, 1]])
+        cols = np.concatenate([e[top, 1], e[top, 0]])
+        data = np.concatenate([kept, kept])
+        out.append(sp.csr_matrix((data, (rows, cols)), shape=(N, N)))
+    return out
+
+
+@pytest.mark.parametrize("weighting", ["adjacency", "score"])
+def test_sampling_matches_lexsort_reference_bitwise(weighting):
+    # three distinct P rows and two resistances: most weights tie, so the
+    # kept set depends on the tie break
+    rng = np.random.default_rng(16)
+    from graphdistill.graph import normalized_adjacency
+
+    a_norm = normalized_adjacency(random_graph(rng, 60, 0.15, min_degree=1))
+    P = model.softmax_predict(rng.standard_normal((3, 4)))[rng.integers(3, size=60)]
+    res = rng.choice([1.0, 2.0], size=a_norm.num_edges)
+    for rho in (0.1, 0.37, 0.8):
+        got = sample_class_graphs(a_norm, P, res, rho=rho, weighting=weighting)
+        want = _sample_class_graphs_lexsort(a_norm, P, res, rho, weighting)
+        for g, w in zip(got.sampled, want):
+            assert g.data.tobytes() == w.data.tobytes()
+            assert g.indices.tobytes() == w.indices.tobytes()
+            assert g.indptr.tobytes() == w.indptr.tobytes()
 
 
 def test_sampling_score_weighting_and_errors():
