@@ -93,10 +93,15 @@ def _kmeans_pp(
     return points[chosen].copy()
 
 
-# Points per block of an assignment pass. A block's distances to the
-# centers are block x n doubles, so a pass holds one block's worth of them
-# rather than N x n.
-ASSIGN_BLOCK = 1024
+# Distances per block of an assignment pass. A block holds its distances
+# to the n centers in two buffers of rows x n doubles, so a block sized by
+# its distances stays in cache at every n.
+ASSIGN_BLOCK = 1 << 16
+
+
+def _assign_rows(n: int) -> int:
+    """Rows per assignment block at n centers; two at the least, so no block is a GEMV."""
+    return max(2, ASSIGN_BLOCK // n)
 
 
 def _point_terms(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,7 +114,7 @@ def _assign(
     centers: np.ndarray,
     terms: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Index of the nearest center per point, ASSIGN_BLOCK points at a time.
+    """Index of the nearest center per point, _assign_rows(n) points at a time.
 
     Squared distances are |p|^2 + |c|^2 - 2 p.c; terms is _point_terms(points)
     when the caller forms it once for many passes. The nearest center is
@@ -122,7 +127,7 @@ def _assign(
     twice, sq_p = _point_terms(points) if terms is None else terms
     N = twice.shape[0]
     sq_c = np.einsum("ij,ij->i", centers, centers)
-    blocks = row_blocks(N, ASSIGN_BLOCK)
+    blocks = row_blocks(N, _assign_rows(centers.shape[0]))
     rows = max(hi - lo for lo, hi in blocks)
     prod = np.empty((rows, centers.shape[0]))
     dist = np.empty_like(prod)

@@ -118,6 +118,8 @@ def load_dataset(directory: Path | str) -> Dataset:
         if key not in meta:
             raise DatasetFormatError(directory / "meta.toml", 0, f"missing key {key}")
     N, M, d, K = meta["N"], meta["M"], meta["d"], meta["K"]
+    if d < 1:
+        raise DatasetFormatError(directory / "meta.toml", 0, f"feature width d = {d} is below 1")
 
     edge_path = directory / "edges.tsv"
     edges = _loadtxt_rows(edge_path, dtype=np.int64)

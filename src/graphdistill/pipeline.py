@@ -44,7 +44,6 @@ from .graph import (
     Dataset,
     GraphError,
     SparseGraph,
-    homophily_ratio,
     icad,
     normalize_rows,
     normalized_adjacency,
@@ -426,10 +425,48 @@ class SbmSpec:
             raise ValueError("need 0 <= inter_prob <= intra_prob <= 1")
         if self.num_classes < 1 or self.num_nodes < self.num_classes:
             raise ValueError("need at least one node per class")
+        if self.feature_dim < 1:
+            raise ValueError(f"feature_dim {self.feature_dim} is below 1")
 
 
-# Rows of a class-pair block that generate_sbm draws per call.
+# Rows of a class-pair block that _sbm_edges draws per call.
 SBM_DRAW_ROWS = 256
+
+
+def _sbm_edges(
+    rng: np.random.Generator, sizes: np.ndarray, intra_prob: float, inter_prob: float
+) -> np.ndarray:
+    """Edge list of a block model whose classes hold sizes nodes, in order.
+
+    Each class-pair block (ci <= cj) draws one uniform per node pair in
+    row-major order, SBM_DRAW_ROWS rows at a time: the same stream as one
+    whole block draw, in a fraction of its memory. Every chunk reuses two
+    buffers allocated here. Diagonal blocks keep their strict upper triangle.
+    """
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    s_max = int(sizes.max())
+    draws = np.empty(min(SBM_DRAW_ROWS, s_max) * s_max)
+    hits = np.empty(draws.size, dtype=bool)
+    edges = []
+    for ci in range(len(sizes)):
+        for cj in range(ci, len(sizes)):
+            si, sj = sizes[ci], sizes[cj]
+            prob = intra_prob if ci == cj else inter_prob
+            for lo in range(0, si, SBM_DRAW_ROWS):
+                size = min(SBM_DRAW_ROWS, si - lo) * sj
+                rng.random(out=draws[:size])
+                np.less(draws[:size], prob, out=hits[:size])
+                # row-major, the order of a 2-D nonzero of the chunk
+                ii, jj = np.divmod(np.flatnonzero(hits[:size]), sj)
+                if ci == cj:
+                    # chunk row ii is block row lo + ii
+                    upper = jj > ii + lo
+                    ii, jj = ii[upper], jj[upper]
+                if ii.size:
+                    edges.append(
+                        np.column_stack([offsets[ci] + lo + ii, offsets[cj] + jj])
+                    )
+    return np.concatenate(edges) if edges else np.empty((0, 2), dtype=np.int64)
 
 
 def generate_sbm(spec: SbmSpec) -> Dataset:
@@ -443,27 +480,7 @@ def generate_sbm(spec: SbmSpec) -> Dataset:
     sizes = np.full(K, N // K)
     sizes[: N % K] += 1
     labels = np.repeat(np.arange(K), sizes)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    edges = []
-    for ci in range(K):
-        for cj in range(ci, K):
-            si, sj = sizes[ci], sizes[cj]
-            prob = spec.intra_prob if ci == cj else spec.inter_prob
-            # SBM_DRAW_ROWS rows at a time draw the same stream as one
-            # si x sj draw, in a fraction of its memory
-            for lo in range(0, si, SBM_DRAW_ROWS):
-                hit = rng.random((min(SBM_DRAW_ROWS, si - lo), sj)) < prob
-                if ci == cj:
-                    hit = np.triu(hit, k=1 + lo)
-                ii, jj = np.nonzero(hit)
-                if ii.size:
-                    edges.append(
-                        np.column_stack([offsets[ci] + lo + ii, offsets[cj] + jj])
-                    )
-    edge_array = (
-        np.concatenate(edges) if edges else np.empty((0, 2), dtype=np.int64)
-    )
+    edge_array = _sbm_edges(rng, sizes, spec.intra_prob, spec.inter_prob)
     graph = SparseGraph.from_edges(N, edge_array)
 
     means = spec.separation * normalize_rows(

@@ -34,6 +34,17 @@ def test_gen_sbm_writes_loadable_dataset(tmp_path, capsys):
     assert ds.num_classes == 3
 
 
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_gen_sbm_without_features_exits_with_one_line(tmp_path, capsys, dim):
+    out = tmp_path / "data"
+    rc = main(["gen-sbm", "--out-dir", str(out), "--nodes", "60", "--dim", dim])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: feature_dim {dim} is below 1\n"
+    assert not out.exists()
+
+
 def test_distill_writes_condensed_and_report(tmp_path, capsys):
     data_dir = _gen(tmp_path)
     cond_dir = tmp_path / "cond"

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from graphdistill.cluster import (
-    ASSIGN_BLOCK,
     _assign,
+    _assign_rows,
     _kmeans_pp,
     _means,
     _repair_empty,
@@ -291,14 +291,27 @@ def _assign_unblocked(points, centers):
     return np.argmin(d, axis=1)
 
 
+# 64 centers give blocks of 1024 rows; 546 (sbm-large's n) give 120, and
+# 40000 give the two-row floor
+_ROWS = _assign_rows(64)
+
+
 @pytest.mark.parametrize(
-    "N", [1, ASSIGN_BLOCK - 1, ASSIGN_BLOCK, ASSIGN_BLOCK + 1, 2 * ASSIGN_BLOCK + 1, 21000]
+    "N, n",
+    [
+        pytest.param(N, 64, id=str(N))
+        for N in (1, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 1, 21000)
+    ]
+    + [
+        pytest.param(33 * _assign_rows(546) + 7, 546, id="n546"),
+        pytest.param(7, 40000, id="n40000"),
+    ],
 )
-def test_row_blocked_assign_matches_unblocked_reference(N):
+def test_row_blocked_assign_matches_unblocked_reference(N, n):
     # relies on a row's GEMM result not depending on the call's row count
     rng = np.random.default_rng(N)
-    centers = rng.standard_normal((40, 8))
-    points = centers[rng.integers(40, size=N)] + 0.5 * rng.standard_normal((N, 8))
+    centers = rng.standard_normal((n, 8))
+    points = centers[rng.integers(n, size=N)] + 0.5 * rng.standard_normal((N, 8))
     # exact duplicates of a center tie at distance zero after clipping
     points[::97] = centers[0]
     centers[1] = centers[0]

@@ -240,6 +240,19 @@ def test_missing_meta_key(tmp_path):
         load_dataset(tmp_path / "d")
 
 
+def test_zero_feature_width_is_refused_before_features(tmp_path, recwarn):
+    ds = _dataset()
+    save_dataset(ds, tmp_path / "d")
+    meta = tmp_path / "d" / "meta.toml"
+    content = ["d = 0" if l.startswith("d =") else l for l in meta.read_text().splitlines()]
+    meta.write_text("\n".join(content) + "\n")
+    # what a zero-width save writes: one empty line per node
+    (tmp_path / "d" / "features.csv").write_text("\n" * ds.num_nodes)
+    with pytest.raises(DatasetFormatError, match=r"meta\.toml:0: feature width d = 0 is below 1"):
+        load_dataset(tmp_path / "d")
+    assert not recwarn.list
+
+
 def test_ragged_matrix_rejected(tmp_path):
     rng = np.random.default_rng(2)
     y = np.array([[1.0, 0.0], [0.0, 1.0]])

@@ -99,14 +99,40 @@ def _sbm_dense_draw(spec):
     return np.concatenate(edges), features, rng.permutation(N)
 
 
-def test_sbm_row_chunked_draw_matches_dense_draw():
-    # N % K != 0, and blocks of 401 and 400 rows: more than one chunk of
-    # SBM_DRAW_ROWS, and not a multiple of it
-    spec = SbmSpec(
-        num_nodes=1202, num_classes=3, intra_prob=0.02, inter_prob=0.004,
-        feature_dim=5, separation=2.0, seed=17,
-    )
-    assert spec.num_nodes // 3 > pipeline.SBM_DRAW_ROWS
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # N % K != 0, and blocks of 401 and 400 rows: more than one chunk
+        # of SBM_DRAW_ROWS, and not a multiple of it
+        pytest.param(
+            SbmSpec(
+                num_nodes=1202, num_classes=3, intra_prob=0.02, inter_prob=0.004,
+                feature_dim=5, separation=2.0, seed=17,
+            ),
+            id="chunked",
+        ),
+        # every upper pair is a hit, so the diagonal blocks' second chunks
+        # pin the upper-triangle boundary
+        pytest.param(
+            SbmSpec(num_nodes=600, num_classes=2, intra_prob=1.0, inter_prob=0.01, seed=3),
+            id="intra-1",
+        ),
+        pytest.param(
+            SbmSpec(num_nodes=300, num_classes=3, intra_prob=0.0, inter_prob=0.0, seed=4),
+            id="no-edges",
+        ),
+        pytest.param(
+            SbmSpec(num_nodes=700, num_classes=1, intra_prob=0.01, inter_prob=0.0, seed=5),
+            id="one-class",
+        ),
+        # classes of 34, 33 and 33 rows, below SBM_DRAW_ROWS
+        pytest.param(
+            SbmSpec(num_nodes=100, num_classes=3, intra_prob=0.2, inter_prob=0.05, seed=6),
+            id="small-classes",
+        ),
+    ],
+)
+def test_sbm_row_chunked_draw_matches_dense_draw(spec):
     edges, features, perm = _sbm_dense_draw(spec)
     ds = generate_sbm(spec)
     assert np.array_equal(ds.graph.undirected_edges(), edges[np.lexsort(edges.T[::-1])])
