@@ -30,6 +30,7 @@ from .pipeline import (
     evaluate_condensed,
     generate_sbm,
     report_block,
+    require_test_nodes,
     resolve_synthetic_size,
     run_pipeline,
 )
@@ -145,6 +146,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     cfg.validate()
     dataset = load_dataset(args.dataset_dir)
     n = resolve_synthetic_size(cfg, dataset)
+    require_test_nodes(dataset)
     a_norm = normalized_adjacency(dataset.graph)
     Z = gls_propagate(a_norm, dataset.features, cfg.alpha, cfg.T)
     selector = {

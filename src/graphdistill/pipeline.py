@@ -216,6 +216,12 @@ def resolve_synthetic_size(cfg: PipelineConfig, dataset: Dataset) -> int:
     return n
 
 
+def require_test_nodes(dataset: Dataset) -> None:
+    """Raise GraphError when the test split is empty: no accuracy can be scored."""
+    if not np.any(dataset.test_mask):
+        raise GraphError("the test split is empty")
+
+
 def stage_seeds(seed: int) -> tuple[int, int, int, int, int, int]:
     """The six stream seeds drawn from one config seed.
 
@@ -239,6 +245,7 @@ def evaluate_condensed(
     already computed, with its logits on the condensed graph.
     """
     cfg.validate()
+    require_test_nodes(dataset)
     seed = stage_seeds(cfg.seed)[5]
     a_org = renormalized_adjacency(dataset.graph)
     a_test = renormalized_adjacency(inductive_graph(dataset)) if cfg.inductive else a_org
@@ -272,6 +279,7 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
     with _stage("propagate", timings):
         cfg.validate()
         n = resolve_synthetic_size(cfg, dataset)
+        require_test_nodes(dataset)
         a_norm = normalized_adjacency(dataset.graph)
         Z = gls_propagate(a_norm, dataset.features, cfg.alpha, cfg.T)
 

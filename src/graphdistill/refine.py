@@ -172,9 +172,19 @@ def refine_loss_and_grads(
     """Joint loss and analytic gradients with respect to Delta and the head.
 
     Every head forward drops hidden units at params.dropout_rate, drawn from
-    rng. Gradients accumulate over class views in class-index order. The Delta
-    gradient rides back through the fixed propagation operator, which is
-    its own adjoint because each A'(y) is symmetric.
+    rng. Gradients accumulate over class views in class-index order. The
+    Delta gradient rides back through the fixed propagation operator
+    P_y = sum_t c_t A'(y)^t, which is its own adjoint because each A'(y) is
+    symmetric.
+
+    Layer 0 of the class views runs here; the rest of the head runs through
+    model.forward_cache and model.backward. P_y commutes with layer 0's
+    linear map, so when X' is wider than that map's output (d > W0's
+    columns) the views propagate the narrower U = (X' + beta Delta) W0,
+    formed once, and pull their layer-0 gradients g_y back as
+    R = sum_y P_y g_y, so that dW0 and dDelta each take one d-wide product.
+    Otherwise each view propagates the d-wide X' + beta Delta itself. The two
+    orders agree in real arithmetic and differ only in rounding.
     """
     n, num_classes = y_prime.shape
     mask = np.asarray(train_mask, dtype=bool)
@@ -188,29 +198,54 @@ def refine_loss_and_grads(
     _, d_w, d_b = model.backward(params, cache_org, dlogits_org)
 
     base = x_prime + beta * delta
+    W0, b0 = params.weights[0], params.biases[0]
+    p = params.dropout_rate
+    # the head after layer 0; at depth 1 it is empty and passes layer 0 through
+    rest = ClassifierParams(params.weights[1:], params.biases[1:], p)
+    projected = base @ W0 if base.shape[1] > W0.shape[1] else None
     view_probs: list[np.ndarray] = []
-    caches: list[dict] = []
+    views: list[tuple] = []  # (d-wide layer-0 input or None, layer-0 output, cache)
     for adj in cond_adjs:
-        smoothed = propagate_dense(adj, base, alpha, T_prime)
-        logits, cache = model.forward_cache(params, smoothed, rng)
+        if projected is None:
+            smoothed = propagate_dense(adj, base, alpha, T_prime)
+            s = smoothed @ W0
+        else:
+            smoothed = None
+            s = propagate_dense(adj, projected, alpha, T_prime)
+        s += b0
+        if params.depth > 1:
+            model.relu_dropout(s, p, rng)
+        logits, cache = model.forward_cache(rest, s, rng)
         view_probs.append(model.softmax_predict(logits))
-        caches.append(cache)
+        views.append((smoothed, s, cache))
     l_syn = syn_loss(view_probs, y_prime)
     l_cst = consistency_loss(view_probs)
     pbar = sum(view_probs) / num_classes
 
     d_delta = np.zeros_like(delta)
-    for adj, P, cache in zip(cond_adjs, view_probs, caches):
+    pulled = None if projected is None else np.zeros_like(projected)
+    for adj, P, (smoothed, s, cache) in zip(cond_adjs, view_probs, views):
         dlogits = gamma * (P - y_prime) / n
         if lambda_ != 0.0:
             dP = (2.0 / (n * num_classes)) * (P - pbar)
             dlogits = dlogits + lambda_ * model.softmax_vjp(P, dP)
-        d_pre, dw_v, db_v = model.backward(params, cache, dlogits)
-        for i in range(params.depth):
-            d_w[i] = d_w[i] + dw_v[i]
-            d_b[i] = d_b[i] + db_v[i]
-        d_in = d_pre @ params.weights[0].T
-        d_delta += beta * propagate_dense(adj, d_in, alpha, T_prime)
+        g, dw_v, db_v = model.backward(rest, cache, dlogits)
+        for i in range(rest.depth):
+            d_w[i + 1] += dw_v[i]
+            d_b[i + 1] += db_v[i]
+        if params.depth > 1:
+            alive = s > 0.0
+            g = g @ params.weights[1].T
+            model.relu_dropout_grad(g, alive, p)
+        d_b[0] += g.sum(axis=0)
+        if pulled is None:
+            d_w[0] += smoothed.T @ g
+            d_delta += beta * propagate_dense(adj, g @ W0.T, alpha, T_prime)
+        else:
+            pulled += propagate_dense(adj, g, alpha, T_prime)
+    if pulled is not None:
+        d_w[0] += base.T @ pulled
+        d_delta += beta * (pulled @ W0.T)
 
     loss = l_org + gamma * l_syn + lambda_ * l_cst
     return loss, (l_org, l_syn, l_cst), d_delta, d_w, d_b

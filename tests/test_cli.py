@@ -234,6 +234,30 @@ def test_eval_repeats_below_one_exits_with_one_line(tmp_path, capsys):
         assert "eval_repeats must be at least 1, not 0" in captured.err
 
 
+def test_empty_test_split_exits_with_one_line(tmp_path, capsys):
+    data_dir = _gen(tmp_path)
+    cond_dir = tmp_path / "cond"
+    rc = main(["distill", "--dataset-dir", str(data_dir), "--out-dir", str(cond_dir)] + FAST_FLAGS)
+    assert rc == 0
+    masks = data_dir / "masks.txt"
+    masks.write_text(masks.read_text().replace("test", "none"))
+    out_dir = tmp_path / "out"
+    for command in (
+        ["distill", "--dataset-dir", str(data_dir), "--out-dir", str(out_dir)],
+        ["baseline", "random", "--dataset-dir", str(data_dir), "--out-dir", str(out_dir)],
+        ["evaluate", "--dataset-dir", str(data_dir), "--condensed-dir", str(cond_dir)],
+        ["fid", "--dataset-dir", str(data_dir), "--condensed-dir", str(cond_dir)],
+    ):
+        capsys.readouterr()
+        rc = main(command + FAST_FLAGS)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.endswith("the test split is empty\n")
+        assert not out_dir.exists()
+
+
 def test_evaluate_refuses_malformed_condensed_dir(tmp_path, capsys):
     data_dir = _gen(tmp_path)
     cond_dir = tmp_path / "cond"

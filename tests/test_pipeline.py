@@ -285,6 +285,51 @@ def test_synthetic_size_below_two_is_refused(overrides, n, stage_times):
     assert stage_times == {}
 
 
+def test_empty_test_split_is_refused_before_any_work(stage_times):
+    ds = _small_sbm(0)
+    ds.test_mask = np.zeros_like(ds.test_mask)
+    with pytest.raises(PipelineError, match="stage 'propagate' failed: the test split is empty$"):
+        run_pipeline(ds, _fast_config())
+    assert stage_times == {}
+    condensed = run_pipeline(_small_sbm(0), _fast_config(E3=0)).condensed
+    with pytest.raises(GraphError, match="the test split is empty$"):
+        pipeline.evaluate_condensed(ds, condensed, _fast_config())
+
+
+def _degenerate_dataset(case):
+    """A 300-node block model with one degenerate property."""
+    spec = dict(
+        num_nodes=300, num_classes=3, intra_prob=0.05, inter_prob=0.005,
+        feature_dim=24, separation=2.0, seed=3,
+    )
+    if case == "one-class":
+        spec["num_classes"] = 1
+    if case == "edgeless":
+        spec["intra_prob"] = spec["inter_prob"] = 0.0
+    ds = generate_sbm(SbmSpec(**spec))
+    if case == "class-without-training":
+        moved = ds.train_mask & (ds.labels == 2)
+        ds.train_mask, ds.val_mask = ds.train_mask & ~moved, ds.val_mask | moved
+    if case == "zero-feature-row":
+        ds.features[5] = 0.0
+    return ds
+
+
+@pytest.mark.parametrize(
+    "case", ["one-class", "class-without-training", "zero-feature-row", "edgeless"]
+)
+def test_degenerate_inputs_run_to_a_finite_accuracy(case):
+    # d = 24 is wider than the 16-wide hidden layer, so the class views take
+    # the projected order
+    ds = _degenerate_dataset(case)
+    result = run_pipeline(ds, _fast_config(E1=5, E2=20, E3=3, eval_epochs=5, eval_repeats=1))
+    assert all(np.isfinite(result.accuracies))
+    a_prime = result.condensed.a_prime
+    assert np.array_equal(a_prime, a_prime.T)
+    assert a_prime.min() >= 0.0
+    assert np.all(np.isfinite(result.condensed.x_prime))
+
+
 def test_best_val_without_validation_rows_fails_in_evaluate():
     ds = _small_sbm(0)
     ds.val_mask = np.zeros_like(ds.val_mask)

@@ -302,6 +302,142 @@ def test_refine_gradients_match_finite_differences():
             assert _rel(_fd(loss_fn, params.biases[i]), d_b[i]) <= 1e-4
 
 
+def _view_instance(seed, depth, dropout=0.0, d=9):
+    """An instance whose features (d = 9 by default) are wider than W0's output.
+
+    The hidden width is 4, and at depth 1 W0's output is the K = 3 classes,
+    so d = 3 is narrow at every depth. The biases are drawn nonzero, as a
+    trained head has them: with zero biases at depth 3 whole rows sit on the
+    rectifier's kink, where a central difference is not the derivative.
+    """
+    rng = np.random.default_rng(seed)
+    N, K, n = 8, 3, 5
+    Z = rng.standard_normal((N, d))
+    labels = rng.integers(0, K, size=N)
+    mask = rng.random(N) < 0.7
+    mask[0] = True
+    x_prime = rng.standard_normal((n, d))
+    y_prime = np.zeros((n, K))
+    y_prime[np.arange(n), rng.integers(0, K, size=n)] = 1.0
+    adjs = []
+    for _ in range(K):
+        m = np.abs(rng.standard_normal((n, n)))
+        adjs.append(0.5 * (m + m.T))
+    params = init_classifier(rng, d, K, depth=depth, hidden_dim=4, dropout_rate=dropout)
+    for b in params.biases:
+        b += 0.5 * rng.standard_normal(b.shape)
+    delta = 0.1 * rng.standard_normal((n, d))
+    # in refine_loss_and_grads' argument order
+    return Z, labels, mask, x_prime, y_prime, adjs, delta, params
+
+
+def _refine_loss_and_grads_reference(
+    Z, labels, train_mask, x_prime, y_prime, cond_adjs, delta, params,
+    beta, alpha, T_prime, gamma, lambda_, rng=None,
+):
+    """Each class view propagates the d-wide X' + beta Delta and runs the
+    whole head on it; the Delta gradient is pulled back view by view."""
+    n, num_classes = y_prime.shape
+    mask = np.asarray(train_mask, dtype=bool)
+    logits_org, cache_org = model.forward_cache(params, Z, rng)
+    _, l_org, d_org = model.softmax_cross_entropy(logits_org[mask], labels[mask])
+    dlogits_org = np.zeros_like(logits_org)
+    dlogits_org[mask] = d_org
+    _, d_w, d_b = model.backward(params, cache_org, dlogits_org)
+
+    base = x_prime + beta * delta
+    view_probs, caches = [], []
+    for adj in cond_adjs:
+        smoothed = propagate_dense(adj, base, alpha, T_prime)
+        logits, cache = model.forward_cache(params, smoothed, rng)
+        view_probs.append(model.softmax_predict(logits))
+        caches.append(cache)
+    l_syn = syn_loss(view_probs, y_prime)
+    l_cst = consistency_loss(view_probs)
+    pbar = sum(view_probs) / num_classes
+
+    d_delta = np.zeros_like(delta)
+    for adj, P, cache in zip(cond_adjs, view_probs, caches):
+        dlogits = gamma * (P - y_prime) / n
+        dP = (2.0 / (n * num_classes)) * (P - pbar)
+        dlogits = dlogits + lambda_ * model.softmax_vjp(P, dP)
+        d_pre, dw_v, db_v = model.backward(params, cache, dlogits)
+        for i in range(params.depth):
+            d_w[i] = d_w[i] + dw_v[i]
+            d_b[i] = d_b[i] + db_v[i]
+        d_delta += beta * propagate_dense(adj, d_pre @ params.weights[0].T, alpha, T_prime)
+    loss = l_org + gamma * l_syn + lambda_ * l_cst
+    return loss, (l_org, l_syn, l_cst), d_delta, d_w, d_b
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_projected_views_match_wide_reference(depth, dropout):
+    # d > W0's width, so the views propagate (X' + beta Delta) W0; the
+    # reference propagates X' + beta Delta. Same dropout stream on both sides.
+    args = (0.05, 0.6, 2, 1.7, 0.3)
+    for seed in range(5):
+        inst = _view_instance(900 + seed, depth, dropout)
+        got = refine_loss_and_grads(*inst, *args, rng=np.random.default_rng(seed))
+        want = _refine_loss_and_grads_reference(
+            *inst, *args, rng=np.random.default_rng(seed)
+        )
+        # the loss, then l_org, l_syn and l_cst
+        for g, w in zip((got[0], *got[1]), (want[0], *want[1])):
+            assert abs(g - w) <= 1e-12 * abs(w)
+        assert _rel(got[2], want[2]) <= 1e-12
+        for g, w in zip(got[3] + got[4], want[3] + want[4]):
+            assert _rel(g, w) <= 1e-12
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_projected_view_gradients_match_finite_differences(depth):
+    beta, alpha, tp, gamma, lam = 0.05, 0.6, 2, 1.7, 0.3
+    for seed in range(10):
+        Z, labels, mask, x_prime, y_prime, adjs, delta, params = _view_instance(
+            800 + seed, depth
+        )
+        args = (Z, labels, mask, x_prime, y_prime, adjs, delta, params,
+                beta, alpha, tp, gamma, lam)
+        _, _, d_delta, d_w, d_b = refine_loss_and_grads(*args)
+        loss_fn = lambda: refine_loss_and_grads(*args)[0]
+        assert _rel(_fd(loss_fn, delta), d_delta) <= 1e-4
+        for i in range(depth):
+            assert _rel(_fd(loss_fn, params.weights[i]), d_w[i]) <= 1e-4
+            assert _rel(_fd(loss_fn, params.biases[i]), d_b[i]) <= 1e-4
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_narrow_views_keep_reference_bytes(depth, dropout):
+    # d <= W0's width keeps the d-wide order, so the bytes are the reference's
+    args = (0.05, 0.6, 2, 1.7, 0.3)
+    inst = _view_instance(41, depth, dropout, d=3)
+    got = refine_loss_and_grads(*inst, *args, rng=np.random.default_rng(0))
+    want = _refine_loss_and_grads_reference(*inst, *args, rng=np.random.default_rng(0))
+    assert got[:2] == want[:2]
+    for g, w in zip([got[2]] + got[3] + got[4], [want[2]] + want[3] + want[4]):
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("d", [9, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_views_propagate_the_narrower_operand(monkeypatch, depth, d):
+    # d > W0's width: every propagation is W0-wide, one forward and one
+    # backward per view; d <= W0's width: every propagation is d-wide
+    inst = _view_instance(31, depth, d=d)
+    widths = []
+
+    def recording(A, X, alpha, T):
+        widths.append(X.shape[1])
+        return propagate_dense(A, X, alpha, T)
+
+    monkeypatch.setattr("graphdistill.refine.propagate_dense", recording)
+    refine_loss_and_grads(*inst, 0.05, 0.6, 2, 1.7, 0.3)
+    width = inst[7].weights[0].shape[1]
+    assert widths == [min(d, width)] * (2 * len(inst[5]))
+
+
 def _refine_inputs(seed=10):
     Z, labels, mask, x_prime, y_prime, adjs, params, _ = _instance(seed)
     condensed = CondensedGraph(x_prime, np.zeros((4, 4)), y_prime)
