@@ -163,9 +163,10 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             "config_hash": cfg.hash(),
         }
     )
+    # evaluate first, so that a failed evaluation writes no directory
+    accuracies, _ = evaluate_condensed(dataset, condensed, cfg)
     if args.out_dir is not None:
         save_condensed(condensed, args.out_dir)
-    accuracies, _ = evaluate_condensed(dataset, condensed, cfg)
     print(f"method = {args.method}")
     _print_accuracies(accuracies)
     return 0

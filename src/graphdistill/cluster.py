@@ -166,10 +166,22 @@ def _repair_empty(
     return assignment
 
 
+def _membership(
+    assignment: np.ndarray, n: int, values: np.ndarray | None = None
+) -> sp.csr_matrix:
+    """N x n matrix holding values[j] (default 1) at (j, assignment[j]), one entry per row."""
+    N = assignment.shape[0]
+    data = np.ones(N) if values is None else values
+    return sp.csr_matrix((data, assignment, np.arange(N + 1)), shape=(N, n))
+
+
 def _means(points: np.ndarray, assignment: np.ndarray, n: int) -> np.ndarray:
-    """Grouped sum-then-divide: row i is the arithmetic mean of cluster i."""
-    sums = np.zeros((n, points.shape[1]))
-    np.add.at(sums, assignment, points)
+    """Grouped sum-then-divide: row i is the arithmetic mean of cluster i.
+
+    Cᵀ points, with C the membership matrix, adds each point's row into a
+    zeroed sum in point order, as np.add.at does, so the sums are its bits.
+    """
+    sums = _membership(assignment, n).T @ points
     sizes = np.bincount(assignment, minlength=n)
     return sums / sizes[:, None]
 
@@ -304,14 +316,8 @@ def sketching_matrices(clustering: Clustering) -> tuple[sp.csr_matrix, sp.csr_ma
     each column by the cluster size so columns sum to one.
     """
     a = clustering.assignment
-    N = a.shape[0]
     n = clustering.num_clusters
-    rows = np.arange(N)
-    C = sp.csr_matrix((np.ones(N), (rows, a)), shape=(N, n))
-    C_norm = sp.csr_matrix(
-        (1.0 / clustering.sizes[a], (rows, a)), shape=(N, n)
-    )
-    return C, C_norm
+    return _membership(a, n), _membership(a, n, 1.0 / clustering.sizes[a])
 
 
 def cluster_means(clustering: Clustering, H: np.ndarray) -> np.ndarray:

@@ -6,11 +6,19 @@ a flat meta.toml with N, M, d, K. A condensed directory holds x_prime.csv,
 a_prime.csv, y_prime.txt and meta.toml. Floats are written with 17
 significant digits so a load/save round trip is lossless and two runs with
 equal inputs produce byte-identical files.
+
+load_dataset parses features.csv once per directory: it keeps the parsed
+matrix in FEATURE_COPY beside it, keyed by the sha256 of the CSV's bytes,
+and later loads read that copy while the digest still matches. The CSV
+stays the only source of truth; deleting the copy is always safe.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -137,7 +145,7 @@ def load_dataset(directory: Path | str) -> Dataset:
     if len(edges) != M:
         raise DatasetFormatError(edge_path, len(edges), f"expected {M} edges")
 
-    features = _read_matrix(directory / "features.csv", (N, d))
+    features = _read_features(directory / "features.csv", (N, d))
 
     label_path = directory / "labels.txt"
     labels, _ = _read_labels(label_path, K)
@@ -230,6 +238,59 @@ def _read_matrix(path: Path, shape: tuple[int, int] | None = None) -> np.ndarray
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise DatasetFormatError(path, int(bad[0]) + 1, "non-finite value")
+    return matrix
+
+
+FEATURE_COPY = "features.cache.npz"
+
+
+def _file_digest(path: Path) -> str:
+    """Hex sha256 of path's bytes, read 1 MiB at a time."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def _read_features(path: Path, shape: tuple[int, int]) -> np.ndarray:
+    """_read_matrix(path, shape), through the binary copy FEATURE_COPY beside path.
+
+    The copy holds the sha256 of path's bytes and the parsed matrix. It is
+    used only when its digest is path's, its zip CRC checks, and its matrix
+    has the given shape, dtype float64 and only finite values. Otherwise
+    path is parsed and the copy rewritten through a temporary file and
+    os.replace; a directory that cannot take it loads as without it.
+    """
+    before = os.stat(path)
+    digest = _file_digest(path)
+    copy_path = path.with_name(FEATURE_COPY)
+    try:
+        with np.load(copy_path, allow_pickle=False) as copy:
+            if copy["digest"][()] == digest:
+                matrix = copy["features"]
+                if (matrix.shape == shape and matrix.dtype == np.float64
+                        and np.isfinite(matrix).all()):
+                    return matrix
+    except Exception:
+        # a missing or damaged copy raises one of many types (OSError,
+        # BadZipFile, KeyError, ValueError, EOFError, RuntimeError, ...);
+        # each means the same thing: parse the CSV
+        pass
+    matrix = _read_matrix(path, shape)
+    after = os.stat(path)
+    if (before.st_ino, before.st_size, before.st_mtime_ns) != (
+        after.st_ino, after.st_size, after.st_mtime_ns
+    ):
+        return matrix  # the file changed under the digest; keep no copy of it
+    tmp = path.with_name(f"{FEATURE_COPY}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, digest=np.array(digest), features=matrix)
+        os.replace(tmp, copy_path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
     return matrix
 
 

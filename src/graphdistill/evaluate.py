@@ -49,13 +49,16 @@ def renormalized_adjacency(A: np.ndarray | SparseGraph) -> np.ndarray | sp.csr_m
 
 
 def gcn_forward(
-    params: ClassifierParams, a_hat: np.ndarray | sp.csr_matrix, X: np.ndarray
+    params: ClassifierParams,
+    a_hat: np.ndarray | sp.csr_matrix,
+    X: np.ndarray,
+    ax: np.ndarray | None = None,
 ) -> np.ndarray:
     """Eval-mode GCN logits Â relu(Â X W1 + b1) W2 + b2 of a depth-2 head's (W, b).
 
-    W1 runs in row blocks.
+    W1 runs in row blocks. Pass ax = Â X to reuse it; it is not modified.
     """
-    h1 = relu_layers(a_hat @ X, params.weights[:1], params.biases[:1])
+    h1 = relu_layers(a_hat @ X if ax is None else ax, params.weights[:1], params.biases[:1])
     # Â multiplies the K-wide product, not the hidden_dim-wide h1
     return a_hat @ (h1 @ params.weights[1]) + params.biases[1]
 
@@ -177,21 +180,27 @@ def inductive_graph(dataset: Dataset) -> SparseGraph:
     return SparseGraph.from_edges(idx.shape[0], edges)
 
 
+def forward_features(dataset: Dataset, inductive: bool) -> np.ndarray:
+    """The feature rows a test forward reads: the test nodes' when inductive, else all."""
+    return dataset.features[np.flatnonzero(dataset.test_mask)] if inductive else dataset.features
+
+
 def evaluate_on_original(
     params: ClassifierParams,
     dataset: Dataset,
     a_hat: sp.csr_matrix,
     inductive: bool = False,
+    ax: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Test accuracy of a trained GCN on the original graph, and its logits.
 
     The default transductive forward runs over the full graph, and a_hat is
     the renormalized adjacency of dataset.graph. The inductive forward runs
     over the test nodes alone, and a_hat is that of inductive_graph(dataset).
+    ax, when given, is a_hat times forward_features(dataset, inductive).
     """
     idx = np.flatnonzero(dataset.test_mask)
-    features = dataset.features[idx] if inductive else dataset.features
-    logits = gcn_forward(params, a_hat, features)
+    logits = gcn_forward(params, a_hat, forward_features(dataset, inductive), ax=ax)
     pred = np.argmax(logits, axis=1)
     test_pred = pred if inductive else pred[idx]
     return float(np.mean(test_pred == dataset.labels[idx])), logits

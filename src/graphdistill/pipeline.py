@@ -28,6 +28,7 @@ from .evaluate import (
     MODEL_SELECTIONS,
     _validation_logits,
     evaluate_on_original,
+    forward_features,
     gcn_forward,
     inductive_graph,
     renormalized_adjacency,
@@ -240,7 +241,8 @@ def evaluate_condensed(
     Every command scores a condensed graph here. The renormalized
     adjacencies are formed once each: Â of the original graph, Â of its
     test-induced subgraph when cfg.inductive, and Â′. Repeat r seeds its
-    GCN with the evaluation stream seed plus r. The FID compares GCN 0's
+    GCN with the evaluation stream seed plus r; their test forwards share
+    one product of the test adjacency and features. The FID compares GCN 0's
     logits on the original graph, which its transductive test forward has
     already computed, with its logits on the condensed graph.
     """
@@ -250,6 +252,7 @@ def evaluate_condensed(
     a_org = renormalized_adjacency(dataset.graph)
     a_test = renormalized_adjacency(inductive_graph(dataset)) if cfg.inductive else a_org
     a_syn = renormalized_adjacency(condensed.a_prime)
+    ax_test = a_test @ forward_features(dataset, cfg.inductive)
     accuracies = []
     for r in range(cfg.eval_repeats):
         # the validation logits are formed per training, so that their
@@ -258,7 +261,7 @@ def evaluate_condensed(
             condensed, cfg, seed + r, a_syn,
             _validation_logits(dataset, a_org) if cfg.model_selection == "best_val" else None,
         )
-        accuracy, logits = evaluate_on_original(gcn, dataset, a_test, cfg.inductive)
+        accuracy, logits = evaluate_on_original(gcn, dataset, a_test, cfg.inductive, ax=ax_test)
         accuracies.append(accuracy)
         if r == 0:
             h_org = gcn_forward(gcn, a_org, dataset.features) if cfg.inductive else logits

@@ -354,6 +354,7 @@ def test_criterion_07_kmeans_descent_and_small_instance_optimum():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_refinement_raises_interclass_attribute_distance():
     ups = 0
     homs = []
@@ -382,6 +383,7 @@ def test_criterion_08_refinement_raises_interclass_attribute_distance():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_distilled_training_matches_full_and_beats_random():
     cond_accs, full_accs, rand_accs, times = [], [], [], []
     for seed in range(5):

@@ -258,6 +258,24 @@ def test_empty_test_split_exits_with_one_line(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+def test_baseline_writes_nothing_when_its_evaluation_fails(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert main(["gen-sbm", "--out-dir", str(data_dir), "--nodes", "300", "--seed", "1"]) == 0
+    masks = data_dir / "masks.txt"
+    masks.write_text(masks.read_text().replace("val", "none"))
+    out_dir = tmp_path / "D"
+    capsys.readouterr()
+    rc = main(
+        ["baseline", "random", "--dataset-dir", str(data_dir), "--out-dir", str(out_dir),
+         "--model_selection", "best_val"] + FAST_FLAGS
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: best_val selection needs a nonempty validation set\n"
+    assert not out_dir.exists()
+
+
 def test_evaluate_refuses_malformed_condensed_dir(tmp_path, capsys):
     data_dir = _gen(tmp_path)
     cond_dir = tmp_path / "cond"

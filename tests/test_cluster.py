@@ -187,8 +187,26 @@ def test_cluster_means_agree_with_sparse_product():
     pts = rng.standard_normal((25, 2))
     H = rng.standard_normal((25, 4))
     res = kmeans(pts, 3, seed=2)
-    _, C_norm = sketching_matrices(res)
-    assert np.max(np.abs(cluster_means(res, H) - C_norm.T @ H)) <= 1e-12
+    C, _ = sketching_matrices(res)
+    assert np.array_equal(cluster_means(res, H), (C.T @ H) / res.sizes[:, None])
+
+
+@pytest.mark.parametrize("N, dim, n", [(7, 3, 7), (60, 5, 4), (500, 33, 41), (1200, 2, 1)])
+def test_means_match_add_at_reference_bitwise(N, dim, n):
+    rng = np.random.default_rng(N + n)
+    points = rng.standard_normal((N, dim)) * 10.0 ** rng.integers(-300, 300, size=(N, 1))
+    points[rng.random((N, dim)) < 0.2] = -0.0
+    assignment = rng.integers(0, n, size=N)
+    assignment[:n] = np.arange(n)
+    # cluster n - 1 holds one point, a -0.0 row when n > 1
+    assignment[n:][assignment[n:] == n - 1] = 0
+    if n > 1:
+        points[n - 1] = -0.0
+    sums = np.zeros((n, dim))
+    np.add.at(sums, assignment, points)
+    want = sums / np.bincount(assignment, minlength=n)[:, None]
+    got = _means(points, assignment, n)
+    assert got.tobytes() == want.tobytes()
 
 
 # Reference k-means loops: the mini-batch step updates one hit cluster at a

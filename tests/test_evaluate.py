@@ -12,6 +12,7 @@ from graphdistill.evaluate import (
     coreset_kcenter,
     coreset_random,
     evaluate_on_original,
+    forward_features,
     gcn_forward,
     inductive_graph,
     renormalized_adjacency,
@@ -289,6 +290,22 @@ def test_inductive_equals_transductive_without_test_edges():
         params, ds, renormalized_adjacency(inductive_graph(ds)), inductive=True
     )
     assert transductive == pytest.approx(inductive)
+
+
+@pytest.mark.parametrize("inductive", [False, True])
+def test_test_forward_with_given_product_is_bitwise_equal(inductive):
+    rng = np.random.default_rng(11)
+    ds = _random_split_dataset(rng, 120, 3)
+    params = init_classifier(rng, ds.num_features, 3, depth=2, hidden_dim=8, dropout_rate=0.0)
+    graph = inductive_graph(ds) if inductive else ds.graph
+    a_hat = renormalized_adjacency(graph)
+    ax = a_hat @ forward_features(ds, inductive)
+    before = ax.copy()
+    want = evaluate_on_original(params, ds, a_hat, inductive)
+    got = evaluate_on_original(params, ds, a_hat, inductive, ax=ax)
+    assert got[0] == want[0]
+    assert got[1].tobytes() == want[1].tobytes()
+    assert ax.tobytes() == before.tobytes()
 
 
 def test_quota_arithmetic():

@@ -1,9 +1,19 @@
+import hashlib
+import os
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_graph
+from graphdistill import dataio
 from graphdistill.condense import CondensedGraph
 from graphdistill.dataio import (
+    FEATURE_COPY,
     DatasetFormatError,
     config_hash,
     dump_flat_toml,
@@ -351,3 +361,165 @@ def test_row_template_writer_matches_per_value_format(tmp_path):
     ds.features = x[: ds.num_nodes, : ds.num_features].copy()
     save_dataset(ds, tmp_path / "d")
     assert (tmp_path / "d" / "features.csv").read_text() == _per_value_rows(ds.features)
+
+
+# the binary copy of features.csv
+
+DATASET_FILES = ["edges.tsv", "features.csv", "labels.txt", "masks.txt", "meta.toml"]
+
+
+def _extreme_features(shape, seed=3):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, size=shape)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    big = np.finfo(np.float64).max
+    x.flat[:9] = [-0.0, 0.0, tiny, -tiny, 3 * tiny, 1e-310, big, -big, 1.0 / 3.0]
+    return x
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths _read_matrix is called with, in call order."""
+    calls = []
+    read = dataio._read_matrix
+
+    def spy(path, shape=None):
+        calls.append(Path(path).name)
+        return read(path, shape)
+
+    monkeypatch.setattr(dataio, "_read_matrix", spy)
+    return calls
+
+
+def test_first_load_writes_the_feature_copy(tmp_path, parses):
+    save_dataset(_dataset(), tmp_path / "d")
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == DATASET_FILES
+    load_dataset(tmp_path / "d")
+    assert parses == ["features.csv"]
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == sorted(
+        DATASET_FILES + [FEATURE_COPY]
+    )
+
+
+def test_second_load_reads_the_copy_bitwise(tmp_path, parses):
+    ds = _dataset()
+    ds.features = _extreme_features(ds.features.shape)
+    save_dataset(ds, tmp_path / "d")
+    parsed = load_dataset(tmp_path / "d").features
+    assert parses == ["features.csv"]
+    copied = load_dataset(tmp_path / "d").features
+    assert parses == ["features.csv"]
+    assert copied.dtype == np.float64 and copied.shape == ds.features.shape
+    assert copied.tobytes() == parsed.tobytes() == ds.features.tobytes()
+
+
+def test_edited_csv_is_parsed_again(tmp_path, parses):
+    save_dataset(_dataset(), tmp_path / "d")
+    load_dataset(tmp_path / "d")
+    feats = tmp_path / "d" / "features.csv"
+    lines = feats.read_text().splitlines()
+    lines[3] = "1.5,-2.5,0.25,8"
+    feats.write_text("\n".join(lines) + "\n")
+    assert np.array_equal(load_dataset(tmp_path / "d").features[3], [1.5, -2.5, 0.25, 8.0])
+    assert parses == ["features.csv"] * 2
+    lines[6] = "1.5,-2.5,x,8"
+    feats.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"features\.csv:7: unparseable float"):
+        load_dataset(tmp_path / "d")
+    # a new dataset saved over the directory replaces the features
+    other = _dataset(seed=4)
+    save_dataset(other, tmp_path / "d")
+    assert np.array_equal(load_dataset(tmp_path / "d").features, other.features)
+
+
+def _csv_digest(directory):
+    return hashlib.sha256((directory / "features.csv").read_bytes()).hexdigest()
+
+
+def _truncate(directory, features):
+    path = directory / FEATURE_COPY
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _flip_data_byte(directory, features):
+    path = directory / FEATURE_COPY
+    raw = bytearray(path.read_bytes())
+    start = bytes(raw).index(features.tobytes())
+    raw[start + features.nbytes // 2] ^= 0x10
+    path.write_bytes(bytes(raw))
+
+
+def _replace_matrix(matrix_of):
+    def damage(directory, features):
+        with open(directory / FEATURE_COPY, "wb") as fh:
+            np.savez(fh, digest=np.array(_csv_digest(directory)), features=matrix_of(features))
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _truncate,
+        _flip_data_byte,
+        _replace_matrix(lambda x: x[:-1]),
+        _replace_matrix(lambda x: x.T.copy()),
+        _replace_matrix(lambda x: x.astype(np.float32)),
+        _replace_matrix(lambda x: np.where(np.arange(x.shape[1]) == 2, np.nan, x)),
+    ],
+    ids=["truncated", "flipped-byte", "short", "transposed", "float32", "non-finite"],
+)
+def test_damaged_copy_is_ignored_and_rewritten(tmp_path, parses, damage):
+    ds = _dataset()
+    save_dataset(ds, tmp_path / "d")
+    load_dataset(tmp_path / "d")
+    damage(tmp_path / "d", ds.features)
+    assert load_dataset(tmp_path / "d").features.tobytes() == ds.features.tobytes()
+    assert parses == ["features.csv"] * 2
+    assert load_dataset(tmp_path / "d").features.tobytes() == ds.features.tobytes()
+    assert parses == ["features.csv"] * 2
+
+
+def test_failed_copy_write_still_loads(tmp_path, monkeypatch):
+    ds = _dataset()
+    save_dataset(ds, tmp_path / "d")
+
+    def refuse(src, dst):
+        raise OSError("read-only file system")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    for _ in range(2):
+        assert np.array_equal(load_dataset(tmp_path / "d").features, ds.features)
+        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == DATASET_FILES
+
+
+def test_csv_changed_while_parsed_leaves_no_copy(tmp_path, monkeypatch):
+    ds = _dataset()
+    save_dataset(ds, tmp_path / "d")
+    other = _dataset(seed=4)
+    read = dataio._read_matrix
+
+    def read_then_edit(path, shape=None):
+        matrix = read(path, shape)
+        save_dataset(other, tmp_path / "d")
+        return matrix
+
+    monkeypatch.setattr(dataio, "_read_matrix", read_then_edit)
+    assert np.array_equal(load_dataset(tmp_path / "d").features, ds.features)
+    assert not (tmp_path / "d" / FEATURE_COPY).exists()
+    monkeypatch.undo()
+    assert np.array_equal(load_dataset(tmp_path / "d").features, other.features)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(
+    arrays(np.float64, st.tuples(st.integers(3, 12), st.integers(1, 5)),
+           elements=st.floats(allow_nan=False, allow_infinity=False))
+)
+def test_save_then_two_loads_round_trip_bitwise(features):
+    ds = _dataset(n=features.shape[0], k=2)
+    ds.features = features
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(ds, tmp)
+        parsed = load_dataset(tmp).features
+        copied = load_dataset(tmp).features
+    assert parsed.tobytes() == copied.tobytes() == features.tobytes()

@@ -296,6 +296,27 @@ def test_empty_test_split_is_refused_before_any_work(stage_times):
         pipeline.evaluate_condensed(ds, condensed, _fast_config())
 
 
+@pytest.mark.parametrize("inductive", [False, True])
+def test_shared_test_product_keeps_accuracies_and_fid_bitwise(monkeypatch, inductive):
+    ds = _small_sbm(0)
+    cfg = _fast_config(inductive=inductive, eval_repeats=3)
+    condensed = run_pipeline(ds, _fast_config(E3=0)).condensed
+    shared_accs, shared_fid = pipeline.evaluate_condensed(ds, condensed, cfg)
+    passed = []
+
+    def unshared(params, dataset, a_hat, inductive=False, ax=None):
+        passed.append(ax)
+        return evaluate.evaluate_on_original(params, dataset, a_hat, inductive)
+
+    monkeypatch.setattr(pipeline, "evaluate_on_original", unshared)
+    accs, fid_score = pipeline.evaluate_condensed(ds, condensed, cfg)
+    # one product serves every repeat's test forward
+    assert len(passed) == 3 and passed[0] is not None
+    assert all(ax is passed[0] for ax in passed)
+    assert np.array(accs).tobytes() == np.array(shared_accs).tobytes()
+    assert np.float64(fid_score).tobytes() == np.float64(shared_fid).tobytes()
+
+
 def _degenerate_dataset(case):
     """A 300-node block model with one degenerate property."""
     spec = dict(
