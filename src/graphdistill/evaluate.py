@@ -51,12 +51,12 @@ def renormalized_adjacency(A: np.ndarray | SparseGraph) -> np.ndarray | sp.csr_m
 def gcn_forward(
     params: ClassifierParams,
     a_hat: np.ndarray | sp.csr_matrix,
-    X: np.ndarray,
+    X: np.ndarray | None = None,
     ax: np.ndarray | None = None,
 ) -> np.ndarray:
     """Eval-mode GCN logits Â relu(Â X W1 + b1) W2 + b2 of a depth-2 head's (W, b).
 
-    W1 runs in row blocks. Pass ax = Â X to reuse it; it is not modified.
+    Pass X, or ax = Â X in its place; ax is not modified. W1 runs in row blocks.
     """
     h1 = relu_layers(a_hat @ X if ax is None else ax, params.weights[:1], params.biases[:1])
     # Â multiplies the K-wide product, not the hidden_dim-wide h1
@@ -93,16 +93,19 @@ def _gcn_backward(params, a_hat, cache, dlogits):
     return d_w1, d_b1, d_w2, d_b2
 
 
-def _validation_logits(dataset: Dataset, a_hat: sp.csr_matrix):
+def _validation_logits(
+    dataset: Dataset, a_hat: sp.csr_matrix, full_ax: np.ndarray | None = None
+):
     """GCN logits on the validation rows of the original graph, as a function.
 
-    a_hat is the renormalized adjacency of dataset.graph. Returns (logits,
-    labels): logits(params) gives the validation rows of a full-graph
-    forward, and labels are those rows' classes. Only rows the validation
-    logits depend on are computed: Â·X on the rows that the validation rows
-    of Â touch, once, then per call the first layer on those rows, in row
-    blocks into one buffer that every call reuses, and the second layer on
-    the validation rows.
+    a_hat is the renormalized adjacency of dataset.graph. full_ax, when
+    given, is a_hat @ dataset.features, and its rows are copied rather than
+    formed again. Returns (logits, labels): logits(params) gives the
+    validation rows of a full-graph forward, and labels are those rows'
+    classes. Only rows the validation logits depend on are computed: Â·X on
+    the rows that the validation rows of Â touch, once, then per call the
+    first layer on those rows, in row blocks into one buffer that every call
+    reuses, and the second layer on the validation rows.
     """
     val_idx = np.flatnonzero(dataset.val_mask)
     if val_idx.size == 0:
@@ -110,7 +113,7 @@ def _validation_logits(dataset: Dataset, a_hat: sp.csr_matrix):
     a_val = a_hat[val_idx]
     touched = np.flatnonzero(a_val.getnnz(axis=0))
     a_val = a_val[:, touched]
-    ax = a_hat[touched] @ dataset.features
+    ax = a_hat[touched] @ dataset.features if full_ax is None else full_ax[touched]
     h1 = None
 
     def logits(params: ClassifierParams) -> np.ndarray:
@@ -200,7 +203,9 @@ def evaluate_on_original(
     ax, when given, is a_hat times forward_features(dataset, inductive).
     """
     idx = np.flatnonzero(dataset.test_mask)
-    logits = gcn_forward(params, a_hat, forward_features(dataset, inductive), ax=ax)
+    if ax is None:
+        ax = a_hat @ forward_features(dataset, inductive)
+    logits = gcn_forward(params, a_hat, ax=ax)
     pred = np.argmax(logits, axis=1)
     test_pred = pred if inductive else pred[idx]
     return float(np.mean(test_pred == dataset.labels[idx])), logits

@@ -242,9 +242,11 @@ def evaluate_condensed(
     adjacencies are formed once each: Â of the original graph, Â of its
     test-induced subgraph when cfg.inductive, and Â′. Repeat r seeds its
     GCN with the evaluation stream seed plus r; their test forwards share
-    one product of the test adjacency and features. The FID compares GCN 0's
-    logits on the original graph, which its transductive test forward has
-    already computed, with its logits on the condensed graph.
+    one product of the test adjacency and features, from which a
+    transductive best_val selection also copies its validation rows. The
+    FID compares GCN 0's logits on the original graph, which its
+    transductive test forward has already computed, with its logits on the
+    condensed graph.
     """
     cfg.validate()
     require_test_nodes(dataset)
@@ -253,13 +255,15 @@ def evaluate_condensed(
     a_test = renormalized_adjacency(inductive_graph(dataset)) if cfg.inductive else a_org
     a_syn = renormalized_adjacency(condensed.a_prime)
     ax_test = a_test @ forward_features(dataset, cfg.inductive)
+    ax_org = None if cfg.inductive else ax_test
     accuracies = []
     for r in range(cfg.eval_repeats):
         # the validation logits are formed per training, so that their
         # buffers are freed before the test forward
         gcn = train_eval_gcn(
             condensed, cfg, seed + r, a_syn,
-            _validation_logits(dataset, a_org) if cfg.model_selection == "best_val" else None,
+            _validation_logits(dataset, a_org, ax_org)
+            if cfg.model_selection == "best_val" else None,
         )
         accuracy, logits = evaluate_on_original(gcn, dataset, a_test, cfg.inductive, ax=ax_test)
         accuracies.append(accuracy)

@@ -187,8 +187,8 @@ def test_cluster_means_agree_with_sparse_product():
     pts = rng.standard_normal((25, 2))
     H = rng.standard_normal((25, 4))
     res = kmeans(pts, 3, seed=2)
-    C, _ = sketching_matrices(res)
-    assert np.array_equal(cluster_means(res, H), (C.T @ H) / res.sizes[:, None])
+    _, C_norm = sketching_matrices(res)
+    assert np.max(np.abs(cluster_means(res, H) - C_norm.T @ H)) <= 1e-12
 
 
 @pytest.mark.parametrize("N, dim, n", [(7, 3, 7), (60, 5, 4), (500, 33, 41), (1200, 2, 1)])

@@ -461,6 +461,8 @@ def test_validation_logits_match_whole_matrix_reference_bitwise():
     )
     a_hat = renormalized_adjacency(graph)
     logits, labels = _validation_logits(dataset, a_hat)
+    # the rows of a given whole-graph product are those a_hat[touched] @ x forms
+    from_full, _ = _validation_logits(dataset, a_hat, a_hat @ x)
     val_idx = np.flatnonzero(dataset.val_mask)
     a_val = a_hat[val_idx]
     touched = np.flatnonzero(a_val.getnnz(axis=0))
@@ -474,6 +476,7 @@ def test_validation_logits_match_whole_matrix_reference_bitwise():
         h1 = s1 * (s1 > 0.0)
         want = a_val[:, touched] @ (h1 @ p.weights[1]) + p.biases[1]
         assert logits(p).tobytes() == want.tobytes()
+        assert from_full(p).tobytes() == want.tobytes()
 
 
 def _coreset_reference(dataset, Z, n, seed, method):

@@ -296,23 +296,37 @@ def test_empty_test_split_is_refused_before_any_work(stage_times):
         pipeline.evaluate_condensed(ds, condensed, _fast_config())
 
 
+@pytest.mark.parametrize("model_selection", ["final", "best_val"])
 @pytest.mark.parametrize("inductive", [False, True])
-def test_shared_test_product_keeps_accuracies_and_fid_bitwise(monkeypatch, inductive):
+def test_shared_test_product_keeps_accuracies_and_fid_bitwise(
+    monkeypatch, inductive, model_selection
+):
     ds = _small_sbm(0)
-    cfg = _fast_config(inductive=inductive, eval_repeats=3)
+    cfg = _fast_config(inductive=inductive, eval_repeats=3, model_selection=model_selection)
     condensed = run_pipeline(ds, _fast_config(E3=0)).condensed
     shared_accs, shared_fid = pipeline.evaluate_condensed(ds, condensed, cfg)
-    passed = []
+    passed, passed_val = [], []
 
     def unshared(params, dataset, a_hat, inductive=False, ax=None):
         passed.append(ax)
         return evaluate.evaluate_on_original(params, dataset, a_hat, inductive)
 
+    def unshared_validation(dataset, a_hat, full_ax=None):
+        passed_val.append(full_ax)
+        return evaluate._validation_logits(dataset, a_hat)
+
     monkeypatch.setattr(pipeline, "evaluate_on_original", unshared)
+    monkeypatch.setattr(pipeline, "_validation_logits", unshared_validation)
     accs, fid_score = pipeline.evaluate_condensed(ds, condensed, cfg)
-    # one product serves every repeat's test forward
+    # one product serves every repeat's test forward, and the transductive
+    # validation rows are read from it
     assert len(passed) == 3 and passed[0] is not None
     assert all(ax is passed[0] for ax in passed)
+    if model_selection == "best_val":
+        want = [None] * 3 if inductive else passed
+        assert len(passed_val) == 3 and all(a is b for a, b in zip(passed_val, want))
+    else:
+        assert passed_val == []
     assert np.array(accs).tobytes() == np.array(shared_accs).tobytes()
     assert np.float64(fid_score).tobytes() == np.float64(shared_fid).tobytes()
 
