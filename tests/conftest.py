@@ -37,6 +37,11 @@ def random_graph(
     return SparseGraph.from_edges(n, edges)
 
 
+def _per_value_rows(matrix):
+    """The CSV writer's bytes built one format call per value."""
+    return "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in matrix)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
+from graphdistill import evaluate
 from graphdistill.condense import CondensedGraph
 from graphdistill.evaluate import (
     _class_quotas,
@@ -22,6 +23,7 @@ from graphdistill.graph import Dataset, SparseGraph
 from graphdistill.model import (
     AdamState,
     ClassifierParams,
+    DivergedError,
     init_classifier,
     optimizer_step,
     softmax_predict,
@@ -199,6 +201,35 @@ def test_eval_training_is_deterministic():
     b = train_eval_gcn(condensed, cfg, seed=7, a_hat=_a_hat(condensed))
     assert np.array_equal(a.weights[0], b.weights[0])
     assert np.array_equal(a.weights[1], b.weights[1])
+
+
+# the epochs at which the per-epoch sum of w**2 in the check raised
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lr, epoch", [(1e3, 40), (1e100, 2)])
+def test_diverging_gd_raises_at_the_same_epoch(lr, epoch):
+    condensed = _separable_condensed(np.random.default_rng(5))
+    cfg = PipelineConfig(eval_epochs=60, eval_hidden=8, eval_dropout=0.0,
+                         eval_optimizer="gd", eval_lr=lr)
+    with pytest.raises(DivergedError) as err:
+        train_eval_gcn(condensed, cfg, seed=7, a_hat=_a_hat(condensed))
+    assert err.value.epoch == epoch
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_weight_raises_in_the_first_epoch(monkeypatch):
+    real = evaluate.init_classifier
+
+    def with_nan(*args, **kwargs):
+        params = real(*args, **kwargs)
+        params.weights[1][0, 0] = np.nan
+        return params
+
+    monkeypatch.setattr(evaluate, "init_classifier", with_nan)
+    condensed = _separable_condensed(np.random.default_rng(5))
+    cfg = PipelineConfig(eval_epochs=5, eval_hidden=8)
+    with pytest.raises(DivergedError) as err:
+        train_eval_gcn(condensed, cfg, seed=7, a_hat=_a_hat(condensed))
+    assert err.value.epoch == 0
 
 
 def test_best_val_selection_requires_dataset():

@@ -5,11 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_graph
+from conftest import _per_value_rows, random_graph
 from graphdistill import dataio
 from graphdistill.condense import CondensedGraph
 from graphdistill.dataio import (
@@ -340,11 +340,6 @@ def test_template_writers_match_per_pair_format(tmp_path):
     assert (tmp_path / "c" / "y_prime.txt").read_bytes() == y_prime.encode()
 
 
-def _per_value_rows(matrix):
-    """The writer's bytes built one format call per value."""
-    return "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in matrix)
-
-
 def test_row_template_writer_matches_per_value_format(tmp_path):
     rng = np.random.default_rng(9)
     x = rng.standard_normal((100, 1000)) * 10.0 ** rng.integers(-320, 300, size=(100, 1000))
@@ -361,6 +356,91 @@ def test_row_template_writer_matches_per_value_format(tmp_path):
     ds.features = x[: ds.num_nodes, : ds.num_features].copy()
     save_dataset(ds, tmp_path / "d")
     assert (tmp_path / "d" / "features.csv").read_text() == _per_value_rows(ds.features)
+
+
+def _lane_edges():
+    """Values at the edges of the writer's numpy lanes, with both signs."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = [0.0, 1000000000000000.25, 1000000000000000.75, 9.99999999999999999e-5,
+             0.99999999999999999, 9999999999999999.5, tiny, 3 * tiny, 1e-310,
+             np.finfo(np.float64).max, np.nan, np.inf]
+    for k in range(-12, 17):
+        p = 10.0**k
+        edges += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    return edges + [-v for v in edges]
+
+
+_SHAPES = st.tuples(st.integers(1, 5), st.integers(1, 8))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    st.one_of(
+        arrays(np.float64, _SHAPES, elements=st.sampled_from(_lane_edges())),
+        arrays(np.float64, _SHAPES, elements=st.floats(-1e16, 1e16)),
+        # mostly zero, with weights below 1e-4, as in A'
+        arrays(np.float64, _SHAPES, elements=st.floats(0.0, 1e-4, exclude_max=True),
+               fill=st.just(0.0)),
+        arrays(np.float64, _SHAPES),
+    )
+)
+def test_writer_matches_per_value_format_at_lane_edges(matrix):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        dataio._write_matrix(path, matrix)
+        assert path.read_bytes() == _per_value_rows(matrix).encode()
+
+
+def _sbm_large_like_adjacency(n, seed=0):
+    """A symmetric A' drawn with sbm-large's mix at seed 11, then mirrored.
+
+    The draw makes 68% of the entries exact zeros and 15% nonzero below
+    1e-4, as in that A'; mirroring the upper triangle keeps about as many.
+    """
+    rng = np.random.default_rng(seed)
+    u = rng.random((n, n))
+    small = rng.uniform(1.5e-5, 1e-4, (n, n))
+    large = rng.uniform(1e-4, 8e-3, (n, n))
+    a = np.where(u < 0.68, 0.0, np.where(u < 0.83, small, large))
+    return np.triu(a) + np.triu(a, 1).T
+
+
+def _condensed(x, a, labels, K):
+    return CondensedGraph(x, a, np.eye(K)[labels], meta={"dataset": "prop", "ratio": 0.026})
+
+
+_SBM_LARGE_LIKE = _condensed(
+    np.random.default_rng(1).standard_normal((60, 4)) * 1e-3,
+    _sbm_large_like_adjacency(60),
+    np.arange(60) % 8,
+    8,
+)
+
+
+@st.composite
+def _condensed_graphs(draw):
+    n, d, K = draw(st.integers(1, 7)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    x = draw(arrays(np.float64, (n, d), elements=st.floats(allow_nan=False, allow_infinity=False)))
+    weights = st.one_of(st.floats(0.0, 1e-4, exclude_max=True), st.floats(1e-4, 10.0))
+    upper = draw(arrays(np.float64, (n, n), elements=weights, fill=st.just(0.0)))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, K - 1)))
+    return _condensed(x, np.triu(upper) + np.triu(upper, 1).T, labels, K)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_condensed_graphs())
+@example(_SBM_LARGE_LIKE)
+def test_condensed_directories_round_trip_bitwise(condensed):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_condensed(condensed, Path(tmp) / "c")
+        back = load_condensed(Path(tmp) / "c")
+        save_condensed(back, Path(tmp) / "c2")
+        for name in ("x_prime.csv", "a_prime.csv", "y_prime.txt", "meta.toml"):
+            assert (Path(tmp) / "c" / name).read_bytes() == (Path(tmp) / "c2" / name).read_bytes()
+    for name in ("x_prime", "a_prime", "y_prime"):
+        assert getattr(back, name).tobytes() == getattr(condensed, name).tobytes()
+    assert back.meta == {**condensed.meta, "n": condensed.num_nodes,
+                         "d": condensed.x_prime.shape[1], "K": condensed.num_classes}
 
 
 # the binary copy of features.csv

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphdistill import evaluate, pipeline
+from graphdistill.dataio import save_condensed
 from graphdistill.graph import GraphError, homophily_ratio, normalize_rows
 from graphdistill.pipeline import (
     PipelineConfig,
@@ -239,6 +240,27 @@ def test_pipeline_is_deterministic():
     assert np.array_equal(a.condensed.a_prime, b.condensed.a_prime)
     assert np.array_equal(a.condensed.y_prime, b.condensed.y_prime)
     assert a.metrics == b.metrics
+
+
+def test_minibatch_kmeans_runs_through_the_pipeline(monkeypatch, tmp_path):
+    batches = []
+    real = pipeline.minibatch_kmeans
+
+    def spy(points, n, **kw):
+        batches.append(kw["batch_size"])
+        return real(points, n, **kw)
+
+    monkeypatch.setattr(pipeline, "minibatch_kmeans", spy)
+    ds = _small_sbm(0)
+    # below N = 80, so the streaming updates run rather than the full-batch fallback
+    cfg = _fast_config(minibatch_threshold=40, kmeans_batch=32)
+    for run in ("a", "b"):
+        result = run_pipeline(ds, cfg)
+        assert np.isfinite(result.metrics["accuracy_mean"])
+        save_condensed(result.condensed, tmp_path / run)
+    assert batches == [32, 32]
+    for name in ("x_prime.csv", "a_prime.csv", "y_prime.txt", "meta.toml"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_pipeline_seed_changes_output():
