@@ -8,7 +8,7 @@ significant digits so a load/save round trip is lossless and two runs with
 equal inputs produce byte-identical files. A CSV matrix holds, per value,
 the bytes of '%.17g' % v: _format_rows forms them in numpy from each
 value's exact 17-digit significand, a block of rows at a time, and leaves
-only the values outside its lanes (subnormals, |x| < 1e-11 or >= 1e16,
+only the values outside its lanes (subnormals, |x| < 1e-11 or >= 10,
 NaN, +-inf) to Python's formatting.
 
 load_dataset parses features.csv once per directory: it keeps the parsed
@@ -53,8 +53,9 @@ def _write_lines(path: Path, template: str, rows) -> None:
 
 # values per block, so that a block's temporaries stay near 2 MB
 _BLOCK_VALUES = 8192
-# the decimal exponents formed in numpy; 5**(16 - _LOW_E10) must stay below 2**64
-_LOW_E10, _HIGH_E10 = -11, 15
+# the decimal exponents formed in numpy; 5**(16 - _LOW_E10) must stay below 2**64.
+# Every value the benchmark's workloads write lies below 10 in magnitude.
+_LOW_E10, _HIGH_E10 = -11, 0
 _POW5 = np.array([5**k for k in range(17 - _LOW_E10)], dtype=np.uint64)
 _M32, _U32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 _HALF = np.uint64(1 << 63)
@@ -74,10 +75,7 @@ def _slot_tables() -> tuple[np.ndarray, ...]:
     groups: a 4-digit group g as 4 ASCII bytes at [g], and with its
     trailing zeros blanked at [10000 + g]. heads and tails, indexed by
     e10 - _LOW_E10: slot bytes 0-7 and 24-31, which hold the "0.000" head
-    of e10 in [-4, -1] and the "e-XX" tail of e10 below -4. shifts and
-    int_zeros, indexed by e10 in [1, 15]: the slot's byte order once the
-    digits after digit e10 move one byte on, and the '0' bits that give the
-    integer digits back the zeros that the blanking took.
+    of e10 in [-4, -1] and the "e-XX" tail of e10 below -4.
     """
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     table = np.empty((2, 10, 10, 10, 10, 4), dtype=np.uint8)
@@ -90,35 +88,29 @@ def _slot_tables() -> tuple[np.ndarray, ...]:
     heads = np.array([_word(b"\0" + b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"") for e in e10s],
                      dtype=np.uint64)
     tails = np.array([_word(b"e-%02d" % -e if e < -4 else b"") for e in e10s], dtype=np.uint64)
-    cols = np.arange(_SLOT)
-    shifts = np.array([np.where(cols <= 8 + e, cols, np.where(cols <= 24, cols - 1, cols))
-                       for e in range(16)])
-    int_zeros = np.array([np.where((cols >= 8) & (cols < 8 + e), ord("0"), 0) for e in range(16)],
-                         dtype=np.uint8)
-    return groups, heads, tails, shifts, int_zeros
+    return groups, heads, tails
 
 
 def _significand(a: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Floor and round-half-even of a * 10**(16 - e10), exactly, as uint64.
 
-    a holds normal positive doubles. Each is m * 2**q with m < 2**53, so the
-    product is m * 5**k * 2**(q + k) with k = 16 - e10 in [1, 27]: the
-    128-bit m * 5**k, in uint64 halves, shifted by q + k. The result is
-    exact whenever it is below 2**64.
+    a holds normal positive doubles with 1e-11 <= a < 10, and e10 is within
+    one of floor(log10(a)). Each a is m * 2**q with m < 2**53, so the product
+    is m * 5**k * 2**(q + k) with k = 16 - e10 in [16, 27]: the 128-bit
+    m * 5**k, in uint64 halves, shifted right by -(q + k), which lies in
+    [33, 62]. The result is exact whenever it is below 2**64.
     """
     bits = a.view(np.uint64)
     m = (bits & np.uint64((1 << 52) - 1)) | np.uint64(1 << 52)
     k = 16 - e10
-    shift = (bits >> np.uint64(52)).astype(np.int64) + (k - 1075)
-    m <<= np.maximum(shift, 0).astype(np.uint64)
     f = _POW5[k]
     ml, mh, fl, fh = m & _M32, m >> _U32, f & _M32, f >> _U32
     ll, lh, hl = ml * fl, ml * fh, mh * fl
     mid = (ll >> _U32) + (lh & _M32) + (hl & _M32)
     lo = (ll & _M32) | (mid << _U32)
     hi = mh * fh + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
-    # (hi, lo) >> -shift is the high word of (hi, lo) << (64 + shift); numpy shifts by 64 give 0
-    up = np.minimum(shift + 64, 64).astype(np.uint64)
+    # with up = 64 + q + k in [2, 31], (hi, lo) >> -(q + k) is the high word of (hi, lo) << up
+    up = ((bits >> np.uint64(52)).astype(np.int64) + (k - 1075 + 64)).astype(np.uint64)
     floor = (hi << up) | (lo >> (np.uint64(64) - up))
     rest = lo << up
     return floor, floor + ((rest > _HALF) | ((rest == _HALF) & (floor & np.uint64(1) == 1)))
@@ -129,24 +121,23 @@ def _format_rows(values: np.ndarray, width: int) -> bytes:
 
     values is a flat block of whole rows of the given width. Every value gets
     a slot of _SLOT bytes, and the NUL bytes that pad the slots are deleted
-    at the end. A value with 1e-11 <= |x| < 1e16 is formed in numpy from its
+    at the end. A value with 1e-11 <= |x| < 10 is formed in numpy from its
     17 significant digits, sig = round-half-even(|x| * 10**(16 - e10)),
     exact by _significand. e10 is the decimal exponent after that rounding:
     np.log10's estimate moves by one while sig misses [10**16, 10**17). As
     in '%.17g', it prints positional for e10 >= -4 and scientific below,
     with the fraction's trailing zeros and a bare point dropped. Zeros are
     sig = 0 at e10 = 0. Every other value (subnormals, |x| < 1e-11 or
-    >= 1e16, NaN, +-inf) is formatted by Python.
+    >= 10, NaN, +-inf) is formatted by Python.
 
     Slot bytes: 0 the sign, 1-5 the head "0." to "0.000", 6 the first digit,
     7 the point after it, 8-23 the other 16 digits, 24-27 the tail "e-XX",
-    28 the separator. When e10 >= 1, the digits after digit e10 move one
-    byte on, to make room for the point.
+    28 the separator.
     """
-    groups, heads, tails, shifts, int_zeros = _slot_tables()
+    groups, heads, tails = _slot_tables()
     n = values.size
     a = np.abs(values)
-    lane = np.flatnonzero((a >= 1e-11) & (a < 1e16))
+    lane = np.flatnonzero((a >= 1e-11) & (a < 10))
     a_lane = a[lane]
     e10 = np.clip(np.floor(np.log10(a_lane)).astype(np.int64), _LOW_E10, _HIGH_E10)
     floor, sig = _significand(a_lane, e10)
@@ -189,12 +180,6 @@ def _format_rows(values: np.ndarray, width: int) -> bytes:
     ends = np.full(n, ord(","), dtype=np.uint64)
     ends[width - 1 :: width] = ord("\n")
     words[:, 3] = tails[exps - _LOW_E10] | ends << _U32
-    wide = np.flatnonzero(exps >= 1)
-    if wide.size:
-        e, at = exps[wide], np.arange(wide.size)
-        moved = np.take_along_axis(slots[wide], shifts[e], axis=1) | int_zeros[e]
-        moved[at, 8 + e] = np.where(moved[at, 9 + e] != 0, ord("."), 0)
-        slots[wide] = moved
 
     other = a != 0
     other[lane] = False

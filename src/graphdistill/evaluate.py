@@ -18,6 +18,7 @@ from .graph import Dataset, SparseGraph
 from .model import (
     ClassifierParams,
     DivergedError,
+    _l2_penalty,
     init_classifier,
     optimizer_step,
     relu_dropout,
@@ -160,9 +161,7 @@ def train_eval_gcn(
     for epoch in range(cfg.eval_epochs):
         logits, cache = _gcn_forward_cache(params, a_hat, condensed.x_prime, rng, ax=ax)
         _, loss, dlogits = softmax_cross_entropy(logits, labels)
-        # the L2 penalty reaches no output, only this check, so W is not squared in full
-        squares = sum(float(np.vdot(w, w)) for w in params.weights)
-        if not np.isfinite(loss + 0.5 * cfg.eval_weight_decay * squares):
+        if not np.isfinite(loss + _l2_penalty(params, cfg.eval_weight_decay)):
             raise DivergedError(epoch)
         d_w1, d_b1, d_w2, d_b2 = _gcn_backward(params, a_hat, cache, dlogits)
         d_w1 += cfg.eval_weight_decay * params.weights[0]

@@ -203,7 +203,8 @@ def test_eval_training_is_deterministic():
     assert np.array_equal(a.weights[1], b.weights[1])
 
 
-# the epochs at which the per-epoch sum of w**2 in the check raised
+# the epochs at which the divergence check, loss + _l2_penalty, raises; a cheaper
+# check must raise at the same ones
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("lr, epoch", [(1e3, 40), (1e100, 2)])
 def test_diverging_gd_raises_at_the_same_epoch(lr, epoch):
