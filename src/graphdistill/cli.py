@@ -55,7 +55,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(
             f"--{key}",
             dest=f.name,
-            type=_FIELD_TYPES[f.type if isinstance(f.type, type) else type(f.default)],
+            type=_FIELD_TYPES[type(f.default)],
             default=None,
             help=argparse.SUPPRESS,
         )

@@ -10,6 +10,9 @@ import scipy.sparse as sp
 from .cluster import Clustering, cluster_means, sketching_matrices
 from .graph import SparseGraph
 
+# Rows of A' that CondensedGraph.validate compares with their transpose per step.
+SYMMETRY_ROWS = 256
+
 
 @dataclass
 class CondensedGraph:
@@ -38,9 +41,14 @@ class CondensedGraph:
             raise ValueError("A' must be (n, n)")
         if self.y_prime.shape[0] != n:
             raise ValueError("Y' row count must be n")
-        if np.max(np.abs(self.a_prime - self.a_prime.T)) > 1e-12:
-            raise ValueError("A' must be symmetric within 1e-12")
-        if self.a_prime.min() < -1e-12:
+        # row blocks against the matching column blocks, so the differences
+        # never form an n x n temporary
+        a = self.a_prime
+        for lo in range(0, n, SYMMETRY_ROWS):
+            gap = a[lo : lo + SYMMETRY_ROWS] - a[:, lo : lo + SYMMETRY_ROWS].T
+            if np.max(np.abs(gap, out=gap)) > 1e-12:
+                raise ValueError("A' must be symmetric within 1e-12")
+        if a.min() < -1e-12:
             raise ValueError("A' must be nonnegative")
         row_sums = self.y_prime.sum(axis=1)
         if not np.all(row_sums == 1.0) or not np.all(
@@ -76,15 +84,3 @@ def condense_labels(
     out = np.zeros((clustering.num_clusters, num_classes))
     out[np.arange(clustering.num_clusters), picks] = 1.0
     return out
-
-
-def sparsify_condensed(a_prime: np.ndarray, epsilon: float = 0.0) -> np.ndarray:
-    """Zero out entries strictly below epsilon * max(A'). epsilon 0 is identity."""
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
-    a = np.array(a_prime, dtype=np.float64, copy=True)
-    if epsilon == 0.0 or a.size == 0:
-        return a
-    threshold = epsilon * a.max()
-    a[a < threshold] = 0.0
-    return a

@@ -133,8 +133,8 @@ def train_eval_gcn(
 ) -> ClassifierParams:
     """Train a GCN on the condensed triple; every synthetic node is labeled.
 
-    cfg supplies the eval_* settings and model_selection. The GCN's two
-    layers are a depth-2 head's (W, b). a_hat is Â′, the
+    cfg supplies the eval_* settings, optimizer and model_selection. The
+    GCN's two layers are a depth-2 head's (W, b). a_hat is Â′, the
     renormalized adjacency of condensed.a_prime. model_selection
     "best_val" tracks validation accuracy on the original dataset and keeps
     the best epoch; "final" returns the last epoch. "best_val" needs
@@ -152,7 +152,7 @@ def train_eval_gcn(
         hidden_dim=cfg.eval_hidden, dropout_rate=cfg.eval_dropout,
     )
     labels = condensed.labels
-    step = optimizer_step(cfg.eval_optimizer, params.weights + params.biases)
+    step = optimizer_step(cfg.optimizer, params.weights + params.biases)
 
     best_params, best_val = None, -1.0
 

@@ -321,7 +321,7 @@ def train_classifier(
     """Train on masked rows of Z; returns final params and the loss trajectory.
 
     cfg supplies the epoch count E1, the learning rate lr, weight_decay and
-    pretrain_optimizer; seed seeds the dropout stream. Only the masked rows
+    optimizer; seed seeds the dropout stream. Only the masked rows
     are read: they are sliced out once, and each epoch forwards and
     backpropagates all of them, so dropout masks are drawn over those rows
     alone. The loss is mean cross-entropy over the masked rows plus
@@ -343,7 +343,7 @@ def train_classifier(
     train_idx = np.flatnonzero(mask)
     Z_train, labels_train = Z[train_idx], labels[train_idx]
 
-    step = optimizer_step(cfg.pretrain_optimizer, params.weights + params.biases)
+    step = optimizer_step(cfg.optimizer, params.weights + params.biases)
 
     losses: list[float] = []
     for epoch in range(cfg.E1):

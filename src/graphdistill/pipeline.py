@@ -11,18 +11,13 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import model
-from .cluster import Clustering, cluster_means, kmeans, minibatch_kmeans
-from .condense import (
-    CondensedGraph,
-    condense_adjacency,
-    condense_labels,
-    sparsify_condensed,
-)
+from .cluster import cluster_means, kmeans, minibatch_kmeans
+from .condense import CondensedGraph, condense_adjacency, condense_labels
 from .dataio import config_hash
 from .evaluate import (
     MODEL_SELECTIONS,
@@ -66,9 +61,7 @@ class PipelineError(RuntimeError):
 
 # The allowed values of each config field that names a choice.
 CHOICES = {
-    "pretrain_optimizer": model.OPTIMIZERS,
-    "refine_optimizer": model.OPTIMIZERS,
-    "eval_optimizer": model.OPTIMIZERS,
+    "optimizer": model.OPTIMIZERS,
     "ratio_base": ("all", "train"),
     "model_selection": MODEL_SELECTIONS,
     "class_graph_weighting": WEIGHTINGS,
@@ -76,6 +69,7 @@ CHOICES = {
 
 # The allowed range of each numeric config field, as (description, test).
 _COUNT = ("at least 0", lambda v: v >= 0)
+_POSITIVE = ("at least 1", lambda v: v >= 1)
 _FRACTION = ("in [0, 1)", lambda v: 0.0 <= v < 1.0)
 RANGES = {
     "alpha": _FRACTION,
@@ -91,8 +85,12 @@ RANGES = {
     "eval_epochs": _COUNT,
     "T_prime": _COUNT,
     "num_synthetic": _COUNT,
-    "kmeans_n_init": ("at least 1", lambda v: v >= 1),
-    "eval_repeats": ("at least 1", lambda v: v >= 1),
+    "depth": _POSITIVE,
+    "hidden": _POSITIVE,
+    "eval_hidden": _POSITIVE,
+    "kmeans_batch": _POSITIVE,
+    "kmeans_n_init": _POSITIVE,
+    "eval_repeats": _POSITIVE,
 }
 
 
@@ -108,10 +106,9 @@ class PipelineConfig:
     dropout: float = 0.6
     hidden: int = 256
     depth: int = 3
-    pretrain_optimizer: str = "adam"
+    optimizer: str = "adam"  # of pretraining, refinement and evaluation
     # clustering
     E2: int = 300
-    kmeans_tol: float = 1e-4
     kmeans_n_init: int = 10
     kmeans_batch: int = 1000
     minibatch_threshold: int = 20000
@@ -123,7 +120,6 @@ class PipelineConfig:
     E3: int = 2000
     gamma: float = 7.0
     lambda_: float = 0.1
-    refine_optimizer: str = "adam"
     # synthetic size
     num_synthetic: int = 0  # 0 derives the size from ratio
     ratio: float = 0.026
@@ -134,13 +130,10 @@ class PipelineConfig:
     eval_weight_decay: float = 1e-5
     eval_hidden: int = 256
     eval_dropout: float = 0.5
-    eval_optimizer: str = "adam"
     eval_repeats: int = 3
     model_selection: str = "final"
     inductive: bool = False
-    # metrics and variants
-    fid_normalize: bool = True
-    sparsify_epsilon: float = 0.0
+    # variants
     clustgdd_x: bool = False
     class_graph_weighting: str = "adjacency"
     seed: int = 0
@@ -270,10 +263,7 @@ def evaluate_condensed(
         if r == 0:
             h_org = gcn_forward(gcn, a_org, dataset.features) if cfg.inductive else logits
             h_syn = gcn_forward(gcn, a_syn, condensed.x_prime)
-            fid_score = fid(
-                gaussian_stats(h_org, normalize=cfg.fid_normalize),
-                gaussian_stats(h_syn, normalize=cfg.fid_normalize),
-            )
+            fid_score = fid(gaussian_stats(h_org), gaussian_stats(h_syn))
     return accuracies, fid_score
 
 
@@ -310,20 +300,16 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
         if dataset.num_nodes > cfg.minibatch_threshold:
             clustering = minibatch_kmeans(
                 H, n, seed=s_cluster, max_iter=cfg.E2,
-                batch_size=cfg.kmeans_batch, tol=cfg.kmeans_tol,
-                n_init=cfg.kmeans_n_init,
+                batch_size=cfg.kmeans_batch, n_init=cfg.kmeans_n_init,
             )
         else:
             clustering = kmeans(
-                H, n, seed=s_cluster, max_iter=cfg.E2,
-                tol=cfg.kmeans_tol, n_init=cfg.kmeans_n_init,
+                H, n, seed=s_cluster, max_iter=cfg.E2, n_init=cfg.kmeans_n_init
             )
 
     with _stage("condense", timings):
         x_prime = cluster_means(clustering, Z)
-        a_prime = sparsify_condensed(
-            condense_adjacency(clustering, a_norm), cfg.sparsify_epsilon
-        )
+        a_prime = condense_adjacency(clustering, a_norm)
         y_prime = condense_labels(clustering, H, dataset.num_classes)
         condensed = CondensedGraph(
             x_prime,

@@ -264,7 +264,7 @@ def refine(
     """Descend the joint objective over (Delta, W') for cfg.E3 steps.
 
     cfg supplies beta, gamma, lambda_, T_prime, the learning rate lr and
-    refine_optimizer; the class views propagate with alpha_prime, or with
+    optimizer; the class views propagate with alpha_prime, or with
     the propagation alpha when alpha_prime is negative. seed seeds the
     dropout stream.
 
@@ -284,9 +284,7 @@ def refine(
     params = params_init.copy()
     delta = np.zeros(condensed.x_prime.shape)
     rng = np.random.default_rng(seed)
-    step = model.optimizer_step(
-        cfg.refine_optimizer, [delta] + params.weights + params.biases
-    )
+    step = model.optimizer_step(cfg.optimizer, [delta] + params.weights + params.biases)
 
     losses: list[float] = []
     for epoch in range(cfg.E3):

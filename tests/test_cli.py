@@ -172,6 +172,14 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert load_condensed(cond_dir).num_nodes == 6
 
 
+def test_config_file_with_a_removed_key_exits_with_one_line(tmp_path, capsys):
+    config = tmp_path / "old.toml"
+    config.write_text('eval_optimizer = "adam"\n')
+    rc = main(["distill", "--dataset-dir", str(tmp_path / "data"), "--config", str(config)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: unknown config key 'eval_optimizer'\n"
+
+
 def test_lambda_flag_spelling(tmp_path, capsys):
     data_dir = _gen(tmp_path)
     rc = main(

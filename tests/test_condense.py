@@ -4,10 +4,10 @@ import pytest
 from conftest import random_graph
 from graphdistill.cluster import Clustering, cluster_means, kmeans
 from graphdistill.condense import (
+    SYMMETRY_ROWS,
     CondensedGraph,
     condense_adjacency,
     condense_labels,
-    sparsify_condensed,
 )
 from graphdistill.graph import normalized_adjacency
 
@@ -87,18 +87,6 @@ def test_within_cluster_row_order_is_irrelevant():
     assert np.max(np.abs(cluster_means(clustering, Z2) - base)) <= 1e-12
 
 
-def test_sparsify_thresholding():
-    a = np.array([[0.0, 0.5], [0.5, 1.0]])
-    out = sparsify_condensed(a, 0.5)
-    assert np.array_equal(out, a)  # entries equal to the cutoff survive
-    out = sparsify_condensed(a, 0.6)
-    assert np.array_equal(out, [[0.0, 0.0], [0.0, 1.0]])
-    same = sparsify_condensed(a, 0.0)
-    assert np.array_equal(same, a) and same is not a
-    with pytest.raises(ValueError):
-        sparsify_condensed(a, -0.1)
-
-
 def test_validate_rejects_malformed_triples():
     x = np.zeros((2, 3))
     y = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -112,6 +100,16 @@ def test_validate_rejects_malformed_triples():
         CondensedGraph(x, np.zeros((2, 2)), np.array([[0.5, 0.5], [1.0, 0.0]])).validate()
     with pytest.raises(ValueError, match=r"\(n, n\)"):
         CondensedGraph(x, np.zeros((3, 3)), y).validate()
+    # symmetry is checked SYMMETRY_ROWS rows at a time; this pair lies in the
+    # last, partial block only
+    n = SYMMETRY_ROWS + 3
+    y = np.eye(2)[np.arange(n) % 2]
+    a = np.zeros((n, n))
+    a[n - 1, n - 2] = 1e-13
+    CondensedGraph(np.zeros((n, 3)), a, y).validate()
+    a[n - 1, n - 2] = 2e-12
+    with pytest.raises(ValueError, match="symmetric within 1e-12"):
+        CondensedGraph(np.zeros((n, 3)), a, y).validate()
 
 
 def test_condensed_graph_properties():

@@ -187,7 +187,7 @@ def test_gcn_trained_on_condensed_classifies_original():
     rng = np.random.default_rng(4)
     condensed = _separable_condensed(rng)
     dataset = _toy_dataset(rng)
-    cfg = PipelineConfig(eval_epochs=200, eval_hidden=16, eval_dropout=0.0, eval_optimizer="adam")
+    cfg = PipelineConfig(eval_epochs=200, eval_hidden=16, eval_dropout=0.0, optimizer="adam")
     params = train_eval_gcn(condensed, cfg, seed=0, a_hat=_a_hat(condensed))
     acc, _ = evaluate_on_original(params, dataset, renormalized_adjacency(dataset.graph))
     assert acc >= 0.9
@@ -210,7 +210,7 @@ def test_eval_training_is_deterministic():
 def test_diverging_gd_raises_at_the_same_epoch(lr, epoch):
     condensed = _separable_condensed(np.random.default_rng(5))
     cfg = PipelineConfig(eval_epochs=60, eval_hidden=8, eval_dropout=0.0,
-                         eval_optimizer="gd", eval_lr=lr)
+                         optimizer="gd", eval_lr=lr)
     with pytest.raises(DivergedError) as err:
         train_eval_gcn(condensed, cfg, seed=7, a_hat=_a_hat(condensed))
     assert err.value.epoch == epoch
@@ -592,7 +592,7 @@ def _train_eval_gcn_reference(condensed, cfg, seed, dataset):
     (w1, w2), (b1, b2) = head.weights, head.biases
     a_hat = renormalized_adjacency(condensed.a_prime)
     labels = condensed.labels
-    step = optimizer_step(cfg.eval_optimizer, [w1, b1, w2, b2])
+    step = optimizer_step(cfg.optimizer, [w1, b1, w2, b2])
     want_val = cfg.model_selection == "best_val"
     if want_val:
         val_logits, val_labels = _validation(dataset)
@@ -633,7 +633,7 @@ def test_train_eval_gcn_matches_loose_tensor_trainer_bitwise(model_selection, op
         )
         cfg = PipelineConfig(
             eval_epochs=30, eval_hidden=16, eval_dropout=0.5, eval_lr=0.05,
-            eval_optimizer=optimizer, model_selection=model_selection,
+            optimizer=optimizer, model_selection=model_selection,
         )
         got = train_eval_gcn(condensed, cfg, seed, _a_hat(condensed), _validation(dataset))
         want = _train_eval_gcn_reference(condensed, cfg, seed, dataset)

@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -408,7 +409,7 @@ def stage_times(monkeypatch):
     [
         ("model_selection", "best-val"),
         ("ratio_base", "Train"),
-        ("eval_optimizer", "Adam"),
+        ("optimizer", "Adam"),
         ("class_graph_weighting", "Score"),
     ],
 )
@@ -427,6 +428,10 @@ ALLOWED = {
     "alpha_prime": "below 1 (a negative value reuses alpha)",
     "rho": "in (0, 1]",
     "ratio": "above 0",
+    "depth": "at least 1",
+    "hidden": "at least 1",
+    "eval_hidden": "at least 1",
+    "kmeans_batch": "at least 1",
     "kmeans_n_init": "at least 1",
 }
 
@@ -451,6 +456,10 @@ ALLOWED = {
         ("eval_epochs", -1),
         ("T_prime", -1),
         ("num_synthetic", -5),
+        ("depth", 0),
+        ("hidden", 0),
+        ("eval_hidden", 0),
+        ("kmeans_batch", 0),
         ("kmeans_n_init", 0),
     ],
 )
@@ -471,6 +480,19 @@ def test_eval_repeats_below_one_is_refused(stage_times):
     ):
         run_pipeline(ds, _fast_config(eval_repeats=0))
     assert stage_times == {}
+
+
+# The fields that validate leaves unchecked on purpose: learning rates,
+# penalties and loss weights, the k-means size switch, the flags and the seed.
+UNCHECKED = (
+    "lr", "weight_decay", "beta", "gamma", "lambda_", "eval_lr",
+    "eval_weight_decay", "minibatch_threshold", "inductive", "clustgdd_x", "seed",
+)
+
+
+def test_every_config_field_is_validated_or_listed_as_unchecked():
+    checked = list(pipeline.CHOICES) + list(pipeline.RANGES)
+    assert sorted(checked + list(UNCHECKED)) == sorted(f.name for f in fields(PipelineConfig))
 
 
 def test_best_val_run_renormalizes_the_original_graph_once(monkeypatch):
@@ -509,5 +531,17 @@ def test_config_round_trip_and_hash():
     assert back == cfg
     assert back.hash() == cfg.hash()
     assert cfg.hash() != PipelineConfig(lambda_=0.30, alpha=0.7).hash()
-    with pytest.raises(ValueError, match="unknown config key"):
-        PipelineConfig.from_dict({"bogus": 1})
+
+
+# Keys that earlier versions of the config held; a file that still sets one
+# is refused, not silently ignored.
+REMOVED_KEYS = (
+    "pretrain_optimizer", "refine_optimizer", "eval_optimizer",
+    "fid_normalize", "sparsify_epsilon", "kmeans_tol",
+)
+
+
+@pytest.mark.parametrize("key", ("bogus",) + REMOVED_KEYS)
+def test_unknown_config_key_is_refused(key):
+    with pytest.raises(ValueError, match=rf"^unknown config key '{key}'$"):
+        PipelineConfig.from_dict({key: 1})

@@ -455,7 +455,7 @@ def test_refine_zero_epochs_is_identity():
 
 def test_refine_without_objective_terms_keeps_attributes():
     Z, labels, mask, condensed, class_set, params = _refine_inputs()
-    cfg = PipelineConfig(gamma=0.0, lambda_=0.0, E3=5, refine_optimizer="gd")
+    cfg = PipelineConfig(gamma=0.0, lambda_=0.0, E3=5, optimizer="gd")
     out = refine(Z, labels, mask, condensed, class_set, params, cfg, 0)
     assert np.array_equal(out.x_refined, condensed.x_prime)
     assert np.array_equal(out.delta, np.zeros_like(condensed.x_prime))
