@@ -41,11 +41,17 @@ class CondensedGraph:
             raise ValueError("A' must be (n, n)")
         if self.y_prime.shape[0] != n:
             raise ValueError("Y' row count must be n")
-        # row blocks against the matching column blocks, so the differences
-        # never form an n x n temporary
+        # every comparison with NaN is false, so the checks below would pass it
+        if not np.all(np.isfinite(self.x_prime)):
+            raise ValueError("X' must be finite")
+        # row blocks against the matching column blocks, so neither the
+        # finiteness test nor the differences form an n x n temporary
         a = self.a_prime
         for lo in range(0, n, SYMMETRY_ROWS):
-            gap = a[lo : lo + SYMMETRY_ROWS] - a[:, lo : lo + SYMMETRY_ROWS].T
+            rows = a[lo : lo + SYMMETRY_ROWS]
+            if not np.all(np.isfinite(rows)):
+                raise ValueError("A' must be finite")
+            gap = rows - a[:, lo : lo + SYMMETRY_ROWS].T
             if np.max(np.abs(gap, out=gap)) > 1e-12:
                 raise ValueError("A' must be symmetric within 1e-12")
         if a.min() < -1e-12:

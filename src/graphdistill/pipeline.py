@@ -430,44 +430,33 @@ class SbmSpec:
             raise ValueError(f"feature_dim {self.feature_dim} is below 1")
 
 
-# Rows of a class-pair block that _sbm_edges draws per call.
-SBM_DRAW_ROWS = 256
-
-
 def _sbm_edges(
     rng: np.random.Generator, sizes: np.ndarray, intra_prob: float, inter_prob: float
 ) -> np.ndarray:
     """Edge list of a block model whose classes hold sizes nodes, in order.
 
-    Each class-pair block (ci <= cj) draws one uniform per node pair in
-    row-major order, SBM_DRAW_ROWS rows at a time: the same stream as one
-    whole block draw, in a fraction of its memory. Every chunk reuses two
-    buffers allocated here. Diagonal blocks keep their strict upper triangle.
+    Each class-pair block (ci <= cj) draws its hit count from
+    Binomial(si * sj, p), then that many distinct positions uniformly from
+    its si * sj pairs, decoded in row-major order: every pair is an edge
+    independently with probability p, at a cost of O(hits) rather than
+    O(pairs). Diagonal blocks keep their strict upper triangle. Above a
+    block density of 1/50 (a count over pairs // 50, on more than 10000
+    pairs) numpy's choice falls back to a partial shuffle of all the
+    block's pairs, which is O(pairs) again.
     """
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    s_max = int(sizes.max())
-    draws = np.empty(min(SBM_DRAW_ROWS, s_max) * s_max)
-    hits = np.empty(draws.size, dtype=bool)
     edges = []
     for ci in range(len(sizes)):
         for cj in range(ci, len(sizes)):
-            si, sj = sizes[ci], sizes[cj]
-            prob = intra_prob if ci == cj else inter_prob
-            for lo in range(0, si, SBM_DRAW_ROWS):
-                size = min(SBM_DRAW_ROWS, si - lo) * sj
-                rng.random(out=draws[:size])
-                np.less(draws[:size], prob, out=hits[:size])
-                # row-major, the order of a 2-D nonzero of the chunk
-                ii, jj = np.divmod(np.flatnonzero(hits[:size]), sj)
-                if ci == cj:
-                    # chunk row ii is block row lo + ii
-                    upper = jj > ii + lo
-                    ii, jj = ii[upper], jj[upper]
-                if ii.size:
-                    edges.append(
-                        np.column_stack([offsets[ci] + lo + ii, offsets[cj] + jj])
-                    )
-    return np.concatenate(edges) if edges else np.empty((0, 2), dtype=np.int64)
+            sj = sizes[cj]
+            total = sizes[ci] * sj
+            count = rng.binomial(total, intra_prob if ci == cj else inter_prob)
+            ii, jj = np.divmod(np.sort(rng.choice(total, size=count, replace=False)), sj)
+            if ci == cj:
+                upper = jj > ii
+                ii, jj = ii[upper], jj[upper]
+            edges.append(np.column_stack([offsets[ci] + ii, offsets[cj] + jj]))
+    return np.concatenate(edges)
 
 
 def generate_sbm(spec: SbmSpec) -> Dataset:

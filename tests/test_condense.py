@@ -100,6 +100,13 @@ def test_validate_rejects_malformed_triples():
         CondensedGraph(x, np.zeros((2, 2)), np.array([[0.5, 0.5], [1.0, 0.0]])).validate()
     with pytest.raises(ValueError, match=r"\(n, n\)"):
         CondensedGraph(x, np.zeros((3, 3)), y).validate()
+    # NaN fails every comparison, so it passes the symmetry and sign checks
+    with pytest.raises(ValueError, match="A' must be finite"):
+        CondensedGraph(x, np.array([[0.0, np.nan], [1.0, 0.0]]), y).validate()
+    with pytest.raises(ValueError, match="X' must be finite"):
+        CondensedGraph(
+            np.array([[0.0, np.inf, 0.0], [0.0, 0.0, 0.0]]), np.zeros((2, 2)), y
+        ).validate()
     # symmetry is checked SYMMETRY_ROWS rows at a time; this pair lies in the
     # last, partial block only
     n = SYMMETRY_ROWS + 3
@@ -109,6 +116,14 @@ def test_validate_rejects_malformed_triples():
     CondensedGraph(np.zeros((n, 3)), a, y).validate()
     a[n - 1, n - 2] = 2e-12
     with pytest.raises(ValueError, match="symmetric within 1e-12"):
+        CondensedGraph(np.zeros((n, 3)), a, y).validate()
+    # finiteness is checked in the same blocks; the diagonal entry of the
+    # last row lies in the last, partial block only
+    n = 300
+    y = np.eye(2)[np.arange(n) % 2]
+    a = np.zeros((n, n))
+    a[n - 1, n - 1] = np.nan
+    with pytest.raises(ValueError, match="A' must be finite"):
         CondensedGraph(np.zeros((n, 3)), a, y).validate()
 
 

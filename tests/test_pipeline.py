@@ -1,4 +1,6 @@
 import re
+import signal
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -79,8 +81,13 @@ def test_sbm_is_deterministic():
     assert a.name == b.name
 
 
-def _sbm_dense_draw(spec):
-    """Edges, features and split from one uniform draw per class-pair block."""
+def _sbm_stream_replay(spec):
+    """Edges, features and split from the generator's stream contract.
+
+    Each class-pair block draws a binomial hit count and then that many
+    distinct positions with choice; the positions are decoded here through
+    a dense hit mask of the block, not by divmod.
+    """
     rng = np.random.default_rng(spec.seed)
     N, K = spec.num_nodes, spec.num_classes
     sizes = np.full(K, N // K)
@@ -89,11 +96,13 @@ def _sbm_dense_draw(spec):
     edges = []
     for ci in range(K):
         for cj in range(ci, K):
-            draw = rng.random((sizes[ci], sizes[cj]))
-            if ci == cj:
-                ii, jj = np.nonzero(np.triu(draw < spec.intra_prob, k=1))
-            else:
-                ii, jj = np.nonzero(draw < spec.inter_prob)
+            total = sizes[ci] * sizes[cj]
+            prob = spec.intra_prob if ci == cj else spec.inter_prob
+            count = rng.binomial(total, prob)
+            hit = np.zeros(total, dtype=bool)
+            hit[rng.choice(total, size=count, replace=False)] = True
+            hit = hit.reshape(sizes[ci], sizes[cj])
+            ii, jj = np.nonzero(np.triu(hit, k=1) if ci == cj else hit)
             edges.append(np.column_stack([offsets[ci] + ii, offsets[cj] + jj]))
     means = spec.separation * normalize_rows(rng.standard_normal((K, spec.feature_dim)))
     noise = spec.noise_scale * rng.standard_normal((N, spec.feature_dim))
@@ -104,17 +113,16 @@ def _sbm_dense_draw(spec):
 @pytest.mark.parametrize(
     "spec",
     [
-        # N % K != 0, and blocks of 401 and 400 rows: more than one chunk
-        # of SBM_DRAW_ROWS, and not a multiple of it
+        # N % K != 0: blocks of 401 and 400 rows
         pytest.param(
             SbmSpec(
                 num_nodes=1202, num_classes=3, intra_prob=0.02, inter_prob=0.004,
                 feature_dim=5, separation=2.0, seed=17,
             ),
-            id="chunked",
+            id="uneven-classes",
         ),
-        # every upper pair is a hit, so the diagonal blocks' second chunks
-        # pin the upper-triangle boundary
+        # every pair is a hit, so choice takes its shuffle path and the
+        # diagonal blocks pin the upper-triangle boundary
         pytest.param(
             SbmSpec(num_nodes=600, num_classes=2, intra_prob=1.0, inter_prob=0.01, seed=3),
             id="intra-1",
@@ -127,20 +135,79 @@ def _sbm_dense_draw(spec):
             SbmSpec(num_nodes=700, num_classes=1, intra_prob=0.01, inter_prob=0.0, seed=5),
             id="one-class",
         ),
-        # classes of 34, 33 and 33 rows, below SBM_DRAW_ROWS
+        # classes of 34, 33 and 33 rows
         pytest.param(
             SbmSpec(num_nodes=100, num_classes=3, intra_prob=0.2, inter_prob=0.05, seed=6),
             id="small-classes",
         ),
     ],
 )
-def test_sbm_row_chunked_draw_matches_dense_draw(spec):
-    edges, features, perm = _sbm_dense_draw(spec)
+def test_sbm_draw_matches_stream_contract(spec):
+    edges, features, perm = _sbm_stream_replay(spec)
     ds = generate_sbm(spec)
     assert np.array_equal(ds.graph.undirected_edges(), edges[np.lexsort(edges.T[::-1])])
     assert features.tobytes() == ds.features.tobytes()
     n_train = int(round(0.6 * spec.num_nodes))
     assert np.array_equal(np.flatnonzero(ds.train_mask), np.sort(perm[:n_train]))
+
+
+def test_sbm_pairs_are_independent_bernoulli_draws():
+    # the replay above pins the stream; this checks its distribution: every
+    # upper pair is an edge with its block's probability, and a block's
+    # count has the binomial variance of independent pairs
+    seeds, n, p, q = 400, 90, 0.3, 0.1
+    inclusion = np.zeros((n, n))
+    block_counts = np.zeros((seeds, 3))
+    for seed in range(seeds):
+        ds = generate_sbm(
+            SbmSpec(num_nodes=n, num_classes=2, intra_prob=p, inter_prob=q,
+                    feature_dim=1, seed=seed)
+        )
+        ii, jj = ds.graph.undirected_edges().T
+        inclusion[ii, jj] += 1
+        # blocks (0, 0), (0, 1) and (1, 1); class 0 holds nodes 0 to 44
+        block_counts[seed] = np.bincount((ii >= 45).astype(int) + (jj >= 45), minlength=3)
+    assert np.all(np.tril(inclusion) == 0)
+    iu, ju = np.triu_indices(n, k=1)
+    prob = np.where((iu >= 45) == (ju >= 45), p, q)
+    sigma = np.sqrt(prob * (1 - prob) / seeds)
+    assert np.all(np.abs(inclusion[iu, ju] / seeds - prob) <= 5 * sigma)
+    pairs = np.array([45 * 44 / 2, 45 * 45, 45 * 44 / 2])
+    block_prob = np.array([p, q, p])
+    var = pairs * block_prob * (1 - block_prob)
+    mean = block_counts.mean(axis=0) / pairs
+    assert np.all(np.abs(mean - block_prob) <= 5 * np.sqrt(var / seeds) / pairs)
+    # a sample variance over 400 draws has a relative spread of about 7%
+    spread = np.sqrt(2 / (seeds - 1))
+    assert np.all(np.abs(block_counts.var(axis=0, ddof=1) / var - 1) <= 5 * spread)
+
+
+def test_sbm_edges_cost_scales_with_edges_not_pairs():
+    # a million nodes: one uniform per pair would be 5e11 draws, which take
+    # most of an hour, so the alarm turns that into a failure
+    sizes = np.full(100, 10_000)
+    p, q = 2e-5, 1e-7
+
+    def too_slow(signum, frame):
+        raise TimeoutError("_sbm_edges took over 60 s")
+
+    handler = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(60)
+    tracemalloc.start()
+    try:
+        edges = pipeline._sbm_edges(np.random.default_rng(0), sizes, p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    diag, off = 100 * 10_000 * 9_999 / 2, 100 * 99 / 2 * 10_000**2
+    mean = p * diag + q * off
+    sigma = np.sqrt(p * (1 - p) * diag + q * (1 - q) * off)
+    assert abs(edges.shape[0] - mean) <= 6 * sigma
+    assert np.all(edges[:, 0] < edges[:, 1])
+    assert np.unique(edges[:, 0] * 1_000_000 + edges[:, 1]).size == edges.shape[0]
+    assert peak < 64 * 2**20
 
 
 def test_sbm_pure_intra_edges_are_homophilic():

@@ -1,4 +1,4 @@
-"""Property tests for the propagation kernel and the cluster means.
+"""Property tests for the propagation kernel, the cluster means and A'.
 
 Examples are derandomized and their number fixed, so every run checks the
 same cases.
@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import random_graph
 from graphdistill.cluster import Clustering, cluster_means
+from graphdistill.condense import CondensedGraph, condense_adjacency
 from graphdistill.graph import normalized_adjacency
 from graphdistill.propagate import gls_propagate, propagate_dense
 
@@ -82,3 +83,38 @@ def test_cluster_means_rows_are_member_means(case):
     for c in range(clustering.num_clusters):
         members = H[clustering.assignment == c]
         assert np.max(np.abs(means[c] - members.mean(axis=0))) <= 1e-12 * 10.0
+
+
+@st.composite
+def condensation_cases(draw):
+    """A normalized adjacency and a partition of its nodes into nonempty clusters."""
+    n = draw(st.integers(2, 16))
+    k = draw(st.integers(1, n))
+    graph = random_graph(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        n,
+        draw(st.floats(0.0, 1.0)),
+        min_degree=draw(st.integers(0, 1)),
+    )
+    extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    assignment = np.array(draw(st.permutations(list(range(k)) + extra)), dtype=np.int64)
+    clustering = Clustering(
+        assignment=assignment,
+        num_clusters=k,
+        sizes=np.bincount(assignment, minlength=k),
+        centroids=np.zeros((k, 1)),
+    )
+    return normalized_adjacency(graph), clustering
+
+
+@PROPERTY
+@given(condensation_cases())
+def test_condensed_adjacency_is_symmetric_nonnegative_and_finite(case):
+    a_norm, clustering = case
+    a = condense_adjacency(clustering, a_norm)
+    k = clustering.num_clusters
+    assert a.shape == (k, k)
+    assert np.all(np.isfinite(a))
+    assert np.array_equal(a, a.T)
+    assert a.min() >= 0.0
+    CondensedGraph(np.zeros((k, 1)), a, np.ones((k, 1))).validate()
