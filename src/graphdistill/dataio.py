@@ -43,10 +43,21 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_lines(path: Path, template: str, rows) -> None:
-    """One line per row, each one % operation on template."""
+# rows per % operation of _write_lines
+_LINE_BLOCK = 8192
+
+
+def _write_lines(path: Path, template: str, values: np.ndarray) -> None:
+    """One line of template per row of values (per value when values is 1-D).
+
+    A block of _LINE_BLOCK rows is one % operation on the template repeated,
+    over one flat tuple of the block's values. No list or tuple is made per
+    row, so writing an edge list gives the garbage collector nothing to do.
+    """
     with open(path, "w") as fh:
-        fh.writelines(template % row for row in rows)
+        for lo in range(0, values.shape[0], _LINE_BLOCK):
+            block = values[lo : lo + _LINE_BLOCK]
+            fh.write((template * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 # CSV matrices: '%.17g' text formed in numpy, a block of rows at a time
@@ -250,9 +261,9 @@ def save_dataset(dataset: Dataset, directory: Path | str) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     edges = dataset.graph.undirected_edges()
-    _write_lines(directory / "edges.tsv", "%d\t%d\n", map(tuple, edges.tolist()))
+    _write_lines(directory / "edges.tsv", "%d\t%d\n", edges)
     _write_matrix(directory / "features.csv", dataset.features)
-    _write_lines(directory / "labels.txt", "%d\n", dataset.labels.tolist())
+    _write_lines(directory / "labels.txt", "%d\n", dataset.labels)
     tokens = np.full(dataset.num_nodes, "none", dtype=object)
     tokens[dataset.train_mask] = "train"
     tokens[dataset.val_mask] = "val"
@@ -468,7 +479,7 @@ def save_condensed(condensed: CondensedGraph, directory: Path | str) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     _write_matrix(directory / "x_prime.csv", condensed.x_prime)
     _write_matrix(directory / "a_prime.csv", condensed.a_prime)
-    _write_lines(directory / "y_prime.txt", "%d\n", condensed.labels.tolist())
+    _write_lines(directory / "y_prime.txt", "%d\n", condensed.labels)
     meta = dict(condensed.meta)
     meta.setdefault("n", condensed.num_nodes)
     meta.setdefault("d", condensed.x_prime.shape[1])

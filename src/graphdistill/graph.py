@@ -218,27 +218,3 @@ def icad(features: np.ndarray, labels: np.ndarray) -> float:
     denom = 2.0 * float(n * n - np.sum(counts.astype(np.float64) ** 2))
     return numerator / denom
 
-
-def gls_objective(
-    graph: SparseGraph, Z: np.ndarray, X: np.ndarray, alpha: float
-) -> float:
-    """Smoothing objective (1-a)*||Z-X||_F^2 + a * sum_E ||Z_i/sqrt(d_i) - Z_j/sqrt(d_j)||^2.
-
-    The edge sum runs over undirected edges once. Its minimizer solves
-    (I - a*A_norm) Z = (1-a) X.
-    """
-    Z = np.asarray(Z, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    if Z.shape != X.shape or Z.shape[0] != graph.num_nodes:
-        raise GraphError("Z and X must both be (N, d)")
-    if not 0.0 <= alpha < 1.0:
-        raise GraphError("alpha must lie in [0, 1)")
-    fit = float(np.sum((Z - X) ** 2))
-    e = graph.undirected_edges()
-    if e.shape[0] == 0:
-        return (1.0 - alpha) * fit
-    deg = graph.degrees()
-    scaled = Z / np.sqrt(deg[:, None])  # edge endpoints always have deg > 0
-    diff = scaled[e[:, 0]] - scaled[e[:, 1]]
-    smooth = float(np.sum(graph.edge_values() * np.sum(diff**2, axis=1)))
-    return (1.0 - alpha) * fit + alpha * smooth

@@ -354,7 +354,8 @@ def train_classifier(
             raise DivergedError(epoch)
         losses.append(loss)
 
-        _, d_w, d_b = backward(params, cache, dlogits)
+        # dS0 is R x hidden and unused: drop it now, not at the next epoch's end
+        d_w, d_b = backward(params, cache, dlogits)[1:]
         for i in range(params.depth):
             d_w[i] = d_w[i] + cfg.weight_decay * params.weights[i]
         step(d_w + d_b, cfg.lr)

@@ -332,6 +332,8 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
             a_norm, P, resistance, cfg.rho, weighting=cfg.class_graph_weighting
         )
         class_set = condense_class_graphs(clustering, class_set)
+        # refine reads only the condensed views: free the K sampled N x N graphs
+        class_set.sampled = []
 
     with _stage("refine", timings):
         refine_rng = np.random.default_rng(s_refine_init)
@@ -351,6 +353,7 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
         condensed.x_prime = result.x_refined
         if cfg.clustgdd_x:
             condensed.a_prime = np.eye(n)
+        del Z  # no later stage reads it
 
     with _stage("evaluate", timings):
         accuracies, fid_score = evaluate_condensed(dataset, condensed, cfg)

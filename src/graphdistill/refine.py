@@ -34,14 +34,14 @@ COS_FLOOR = 1e-6
 
 @dataclass
 class ClassGraphSet:
-    """One sampled full-size adjacency per class, plus condensed versions."""
+    """One sampled full-size adjacency per class, plus condensed versions.
+
+    refine reads only the condensed ones, so a caller may empty sampled
+    once they are formed.
+    """
 
     sampled: list[sp.csr_matrix]
     condensed: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.sampled)
 
 
 @dataclass
@@ -195,7 +195,8 @@ def refine_loss_and_grads(
     )
     dlogits_org = np.zeros_like(logits_org)
     dlogits_org[mask] = d_org
-    _, d_w, d_b = model.backward(params, cache_org, dlogits_org)
+    # dS0 is rows x hidden and unused, so it is not kept through the class views
+    d_w, d_b = model.backward(params, cache_org, dlogits_org)[1:]
 
     base = x_prime + beta * delta
     W0, b0 = params.weights[0], params.biases[0]

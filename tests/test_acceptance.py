@@ -45,10 +45,11 @@ from graphdistill.pipeline import (
     generate_sbm,
     run_pipeline,
 )
-from graphdistill.propagate import gls_propagate, gls_solve_exact
+from graphdistill.propagate import gls_propagate
 from graphdistill.refine import refine_loss_and_grads
 
 from conftest import random_graph
+from oracles import gls_solve_exact
 
 
 def _line(num: int, ok: bool, detail: str) -> None:

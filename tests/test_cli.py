@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from graphdistill.cli import main
 from graphdistill.condense import CondensedGraph
 from graphdistill.dataio import load_condensed, load_dataset, load_flat_toml, save_condensed
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 FAST_FLAGS = [
     "--T", "2", "--E1", "20", "--hidden", "16", "--depth", "2",
@@ -342,3 +350,26 @@ def test_gen_sbm_determinism(tmp_path):
     da = load_dataset(a)
     db = load_dataset(b)
     assert np.array_equal(da.features, db.features)
+
+
+def test_distill_does_not_import_the_sparse_solvers(tmp_path):
+    # scipy.sparse.linalg costs about 10 MB of every distill's peak memory,
+    # and only the tests' direct-solve oracle needs it
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from graphdistill.cli import main
+
+        data = {str(tmp_path / "data")!r}
+        assert main(["gen-sbm", "--out-dir", data, "--nodes", "60", "--classes", "3",
+                     "--p", "0.25", "--q", "0.02", "--dim", "8", "--seed", "0"]) == 0
+        assert main(["distill", "--dataset-dir", data] + {FAST_FLAGS!r}) == 0
+        print("scipy.sparse.linalg" in sys.modules)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"

@@ -5,7 +5,6 @@ from graphdistill.graph import (
     Dataset,
     GraphError,
     SparseGraph,
-    gls_objective,
     homophily_ratio,
     icad,
     normalize_rows,
@@ -13,6 +12,7 @@ from graphdistill.graph import (
 )
 
 from conftest import random_graph
+from oracles import gls_objective
 
 
 def test_from_edges_builds_symmetric_csr():

@@ -1,6 +1,9 @@
 import hashlib
 import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,8 @@ from graphdistill.dataio import (
     save_dataset,
 )
 from graphdistill.graph import Dataset
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _dataset(seed=0, n=18, k=3):
@@ -609,3 +614,50 @@ def test_save_then_two_loads_round_trip_bitwise(features):
         parsed = load_dataset(tmp).features
         copied = load_dataset(tmp).features
     assert parsed.tobytes() == copied.tobytes() == features.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 4, 8192])
+def test_line_files_match_one_format_per_row(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(dataio, "_LINE_BLOCK", block)
+    ds = _dataset(seed=3)
+    save_dataset(ds, tmp_path)
+    edges = ds.graph.undirected_edges().tolist()
+    assert (tmp_path / "edges.tsv").read_text() == "".join("%d\t%d\n" % (i, j) for i, j in edges)
+    assert (tmp_path / "labels.txt").read_text() == "".join(f"{y}\n" for y in ds.labels)
+    tokens = np.where(ds.train_mask, "train", np.where(
+        ds.val_mask, "val", np.where(ds.test_mask, "test", "none")))
+    assert (tmp_path / "masks.txt").read_text() == "".join(f"{t}\n" for t in tokens)
+
+
+def test_save_dataset_runs_no_full_garbage_collection():
+    # Per-edge lists and tuples of an 80k-edge graph set off a generation-2
+    # collection in each save of a fresh process. Count them in one.
+    script = textwrap.dedent(
+        """
+        import gc, tempfile
+        from graphdistill.dataio import save_dataset
+        from graphdistill.pipeline import SbmSpec, generate_sbm
+
+        dataset = generate_sbm(SbmSpec(
+            num_nodes=21000, num_classes=8, intra_prob=0.0015,
+            inter_prob=0.0002, feature_dim=32, separation=2.0, seed=1,
+        ))
+        saving, full = False, []
+        gc.callbacks.append(
+            lambda phase, info: full.append(1)
+            if saving and phase == "start" and info["generation"] == 2 else None
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            for i in range(3):
+                saving = True
+                save_dataset(dataset, f"{tmp}/{i}")
+                saving = False
+        print(len(full))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]

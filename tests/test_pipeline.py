@@ -1,6 +1,8 @@
+import gc
 import re
 import signal
 import tracemalloc
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -577,6 +579,46 @@ def test_best_val_run_renormalizes_the_original_graph_once(monkeypatch):
     assert PipelineConfig().eval_repeats == 3
     run_pipeline(ds, cfg)
     assert sum(calls) == 1
+
+
+def test_run_pipeline_frees_sampled_graphs_and_z_after_their_last_reader(monkeypatch):
+    # weak references to the K sampled class graphs and to Z, taken as they
+    # are made; each must be dead at the entry of the first stage that no
+    # longer reads it
+    made, seen = {}, {}
+    sample, propagate = pipeline.sample_class_graphs, pipeline.gls_propagate
+
+    def sampling(*args, **kwargs):
+        class_set = sample(*args, **kwargs)
+        made["sampled"] = [weakref.ref(a) for a in class_set.sampled]
+        return class_set
+
+    def propagating(*args, **kwargs):
+        Z = propagate(*args, **kwargs)
+        made["Z"] = weakref.ref(Z)
+        return Z
+
+    def entry(name, fn):
+        def wrapped(*args, **kwargs):
+            gc.collect()
+            seen[name] = {
+                "sampled": sum(ref() is not None for ref in made["sampled"]),
+                "Z": made["Z"]() is not None,
+            }
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(pipeline, "sample_class_graphs", sampling)
+    monkeypatch.setattr(pipeline, "gls_propagate", propagating)
+    monkeypatch.setattr(pipeline, "refine", entry("refine", pipeline.refine))
+    monkeypatch.setattr(
+        pipeline, "evaluate_condensed", entry("evaluate", pipeline.evaluate_condensed)
+    )
+    run_pipeline(_small_sbm(0), _fast_config())
+    assert len(made["sampled"]) == 3
+    assert seen["refine"] == {"sampled": 0, "Z": True}
+    assert seen["evaluate"] == {"sampled": 0, "Z": False}
 
 
 def test_report_block_format():

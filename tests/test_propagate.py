@@ -1,13 +1,10 @@
 import numpy as np
 
-from graphdistill.graph import SparseGraph, gls_objective, normalized_adjacency
-from graphdistill.propagate import (
-    gls_propagate,
-    gls_solve_exact,
-    propagate_dense,
-)
+from graphdistill.graph import SparseGraph, normalized_adjacency
+from graphdistill.propagate import gls_propagate, propagate_dense
 
 from conftest import random_graph
+from oracles import gls_objective, gls_solve_exact
 
 
 def test_truncation_and_alpha_degenerate_cases(rng):

@@ -14,6 +14,7 @@ from graphdistill.cluster import Clustering, cluster_means
 from graphdistill.condense import CondensedGraph, condense_adjacency
 from graphdistill.graph import normalized_adjacency
 from graphdistill.propagate import gls_propagate, propagate_dense
+from oracles import gls_solve_exact
 
 PROPERTY = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 
@@ -55,6 +56,16 @@ def test_gls_propagate_matches_dense_kernel(case):
     sparse_z = gls_propagate(a_norm, X, alpha, T)
     dense_z = propagate_dense(a_norm.to_scipy().toarray(), X, alpha, T)
     assert np.max(np.abs(sparse_z - dense_z), initial=0.0) <= 1e-12
+
+
+@PROPERTY
+@given(propagation_cases(), st.floats(0.0, 0.9))
+def test_gls_propagate_is_within_the_series_tail_of_the_exact_solve(case, alpha):
+    # the terms past T sum to at most alpha^(T+1) ||X||, since ||A_norm||_2 <= 1
+    a_norm, X, _, _, T = case
+    gap = np.linalg.norm(gls_propagate(a_norm, X, alpha, T) - gls_solve_exact(a_norm, X, alpha))
+    norm = np.linalg.norm(X)
+    assert gap <= alpha ** (T + 1) * norm + 1e-8 * max(1.0, norm)
 
 
 @st.composite
