@@ -300,24 +300,19 @@ def minibatch_kmeans(
         calm = calm + 1 if shift < tol else 0
         if calm >= 3:
             break
-    assignment = _assign(points, centers, terms)
-    assignment = _repair_empty(points, centers, assignment)
-    centers = _means(points, assignment, n)
+    # one final assignment over every point, with no further iteration
+    assignment, centers, trace = _lloyd(points, centers, 0, tol, terms)
     sizes = np.bincount(assignment, minlength=n)
-    return Clustering(
-        assignment, n, sizes, centers, [_wcss_raw(points, centers, assignment)]
-    )
+    return Clustering(assignment, n, sizes, centers, trace)
 
 
-def sketching_matrices(clustering: Clustering) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(C, C_norm): binary membership and its column-stochastic rescaling.
+def sketching_matrix(clustering: Clustering) -> sp.csr_matrix:
+    """C_norm: the N x n membership matrix with each column divided by its cluster size.
 
-    C is N x n with C[j, i] = 1 iff point j sits in cluster i; C_norm divides
-    each column by the cluster size so columns sum to one.
+    C_norm[j, i] = 1 / |cluster i| iff point j sits in cluster i, so columns sum to one.
     """
     a = clustering.assignment
-    n = clustering.num_clusters
-    return _membership(a, n), _membership(a, n, 1.0 / clustering.sizes[a])
+    return _membership(a, clustering.num_clusters, 1.0 / clustering.sizes[a])
 
 
 def cluster_means(clustering: Clustering, H: np.ndarray) -> np.ndarray:

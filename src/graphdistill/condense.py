@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .cluster import Clustering, cluster_means, sketching_matrices
-from .graph import SparseGraph
+from .cluster import Clustering, cluster_means
 
 # Rows of A' that CondensedGraph.validate compares with their transpose per step.
 SYMMETRY_ROWS = 256
@@ -64,15 +63,9 @@ class CondensedGraph:
 
 
 def compress_adjacency(c_norm: sp.csr_matrix, a: sp.csr_matrix) -> np.ndarray:
-    """C_norm^T A C_norm, densified and numerically symmetrized."""
+    """C_norm^T A C_norm, densified and numerically symmetrized: A' or a class view."""
     m = (c_norm.T @ (a @ c_norm)).toarray()
     return 0.5 * (m + m.T)
-
-
-def condense_adjacency(clustering: Clustering, a_norm: SparseGraph) -> np.ndarray:
-    """A' = C_norm^T A_norm C_norm through compress_adjacency."""
-    _, c_norm = sketching_matrices(clustering)
-    return compress_adjacency(c_norm, a_norm.to_scipy())
 
 
 def condense_labels(

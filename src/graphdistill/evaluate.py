@@ -63,15 +63,13 @@ def gcn_forward(
     return a_hat @ (h1 @ params.weights[1]) + params.biases[1]
 
 
-def _gcn_forward_cache(params, a_hat, X, rng, ax=None):
-    """Training logits and the (Â X, h1, dropout rate) cache; pass ax = Â X to reuse it.
+def _gcn_forward_cache(params, a_hat, ax, rng):
+    """Training logits and the (Â X, h1, dropout rate) cache, from ax = Â X.
 
     h1 drops units at params.dropout_rate, drawn from rng; the eval-mode
     forward is gcn_forward.
     """
     (w1, w2), (b1, b2) = params.weights, params.biases
-    if ax is None:
-        ax = a_hat @ X
     p = params.dropout_rate
     h1 = ax @ w1
     h1 += b1
@@ -159,7 +157,7 @@ def train_eval_gcn(
     # Â' and X' stay fixed during training, so Â' X' is formed once
     ax = a_hat @ condensed.x_prime
     for epoch in range(cfg.eval_epochs):
-        logits, cache = _gcn_forward_cache(params, a_hat, condensed.x_prime, rng, ax=ax)
+        logits, cache = _gcn_forward_cache(params, a_hat, ax, rng)
         _, loss, dlogits = softmax_cross_entropy(logits, labels)
         if not np.isfinite(loss + _l2_penalty(params, cfg.eval_weight_decay)):
             raise DivergedError(epoch)

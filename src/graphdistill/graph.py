@@ -36,25 +36,17 @@ class SparseGraph:
     row_offsets: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
-    weighted: bool = False
 
     @classmethod
-    def from_edges(
-        cls,
-        num_nodes: int,
-        edges: np.ndarray,
-        weights: np.ndarray | None = None,
-    ) -> "SparseGraph":
-        """Build a graph from an edge list giving each undirected edge once.
+    def from_edges(cls, num_nodes: int, edges: np.ndarray) -> "SparseGraph":
+        """Build a unit-weight graph from an edge list giving each undirected edge once.
 
         Args:
             num_nodes: node count N.
             edges: (M, 2) integer array, either orientation per edge.
-            weights: optional (M,) positive weights; defaults to 1.0.
 
         Raises:
-            GraphError: on out-of-range ids, self loops, duplicates, or
-                nonpositive weights.
+            GraphError: on out-of-range ids, self loops or duplicates.
         """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         m = edges.shape[0]
@@ -65,29 +57,18 @@ class SparseGraph:
                 raise GraphError("edge endpoint out of range")
             if np.any(edges[:, 0] == edges[:, 1]):
                 raise GraphError("self loops are not allowed")
-        if weights is None:
-            w = np.ones(m, dtype=np.float64)
-            weighted = False
-        else:
-            w = np.asarray(weights, dtype=np.float64).reshape(-1)
-            if w.shape[0] != m:
-                raise GraphError("weights length does not match edge count")
-            if m > 0 and w.min() <= 0.0:
-                raise GraphError("edge weights must be positive")
-            weighted = True
 
         rows = np.concatenate([edges[:, 0], edges[:, 1]])
         cols = np.concatenate([edges[:, 1], edges[:, 0]])
-        vals = np.concatenate([w, w])
         order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
+        rows, cols = rows[order], cols[order]
         if m > 0:
             dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
             if np.any(dup):
                 raise GraphError("duplicate edges in input")
         offsets = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=num_nodes), out=offsets[1:])
-        return cls(num_nodes, m, offsets, cols, vals, weighted)
+        return cls(num_nodes, m, offsets, cols, np.ones(2 * m))
 
     def to_scipy(self) -> sp.csr_matrix:
         return sp.csr_matrix(
@@ -174,7 +155,6 @@ def normalized_adjacency(graph: SparseGraph) -> SparseGraph:
         graph.row_offsets.copy(),
         graph.col_indices.copy(),
         vals,
-        weighted=True,
     )
 
 

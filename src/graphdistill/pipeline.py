@@ -16,8 +16,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import model
-from .cluster import cluster_means, kmeans, minibatch_kmeans
-from .condense import CondensedGraph, condense_adjacency, condense_labels
+from .cluster import cluster_means, kmeans, minibatch_kmeans, sketching_matrix
+from .condense import CondensedGraph, compress_adjacency, condense_labels
 from .dataio import config_hash
 from .evaluate import (
     MODEL_SELECTIONS,
@@ -47,7 +47,6 @@ from .graph import (
 from .propagate import gls_propagate
 from .refine import (
     WEIGHTINGS,
-    condense_class_graphs,
     cosine_degrees,
     effective_resistance_approx,
     refine,
@@ -273,6 +272,12 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
         cfg.seed
     )
 
+    def init_head(seed: int) -> model.ClassifierParams:
+        return model.init_classifier(
+            np.random.default_rng(seed), dataset.num_features, dataset.num_classes,
+            depth=cfg.depth, hidden_dim=cfg.hidden, dropout_rate=cfg.dropout,
+        )
+
     with _stage("propagate", timings):
         cfg.validate()
         n = resolve_synthetic_size(cfg, dataset)
@@ -281,17 +286,8 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
         Z = gls_propagate(a_norm, dataset.features, cfg.alpha, cfg.T)
 
     with _stage("pretrain", timings):
-        init_rng = np.random.default_rng(s_pre_init)
-        head = model.init_classifier(
-            init_rng,
-            dataset.num_features,
-            dataset.num_classes,
-            depth=cfg.depth,
-            hidden_dim=cfg.hidden,
-            dropout_rate=cfg.dropout,
-        )
         head, _ = model.train_classifier(
-            Z, dataset.labels, dataset.train_mask, head, cfg, s_pre_train
+            Z, dataset.labels, dataset.train_mask, init_head(s_pre_init), cfg, s_pre_train
         )
         H = model.forward(head, Z)
         P = model.softmax_predict(H)
@@ -309,7 +305,9 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
 
     with _stage("condense", timings):
         x_prime = cluster_means(clustering, Z)
-        a_prime = condense_adjacency(clustering, a_norm)
+        # one C_norm compresses A_norm here and every class graph below
+        c_norm = sketching_matrix(clustering)
+        a_prime = compress_adjacency(c_norm, a_norm.to_scipy())
         y_prime = condense_labels(clustering, H, dataset.num_classes)
         condensed = CondensedGraph(
             x_prime,
@@ -328,26 +326,18 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
     with _stage("class_graphs", timings):
         cos_deg = cosine_degrees(dataset.graph, H)
         resistance = effective_resistance_approx(dataset.graph, cos_deg)
-        class_set = sample_class_graphs(
-            a_norm, P, resistance, cfg.rho, weighting=cfg.class_graph_weighting
-        )
-        class_set = condense_class_graphs(clustering, class_set)
-        # refine reads only the condensed views: free the K sampled N x N graphs
-        class_set.sampled = []
+        # the K sampled N x N graphs live only until they are condensed
+        views = [
+            compress_adjacency(c_norm, a)
+            for a in sample_class_graphs(
+                a_norm, P, resistance, cfg.rho, weighting=cfg.class_graph_weighting
+            ).sampled
+        ]
 
     with _stage("refine", timings):
-        refine_rng = np.random.default_rng(s_refine_init)
-        w_prime_init = model.init_classifier(
-            refine_rng,
-            dataset.num_features,
-            dataset.num_classes,
-            depth=cfg.depth,
-            hidden_dim=cfg.hidden,
-            dropout_rate=cfg.dropout,
-        )
         result = refine(
-            Z, dataset.labels, dataset.train_mask, condensed, class_set,
-            w_prime_init, cfg, s_refine,
+            Z, dataset.labels, dataset.train_mask, condensed, views,
+            init_head(s_refine_init), cfg, s_refine,
         )
         x_before = condensed.x_prime
         condensed.x_prime = result.x_refined

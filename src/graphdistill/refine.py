@@ -13,15 +13,14 @@ proxy. All gradients are written out by hand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import model
-from .cluster import Clustering, sketching_matrices
-from .condense import CondensedGraph, compress_adjacency
+from .condense import CondensedGraph
 from .graph import GraphError, SparseGraph, normalize_rows
 from .model import ClassifierParams, DivergedError
 from .propagate import propagate_dense
@@ -34,14 +33,9 @@ COS_FLOOR = 1e-6
 
 @dataclass
 class ClassGraphSet:
-    """One sampled full-size adjacency per class, plus condensed versions.
-
-    refine reads only the condensed ones, so a caller may empty sampled
-    once they are formed.
-    """
+    """One sampled full-size adjacency per class."""
 
     sampled: list[sp.csr_matrix]
-    condensed: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass
@@ -122,15 +116,6 @@ def sample_class_graphs(
         data = np.concatenate([kept_vals, kept_vals])
         sampled.append(sp.csr_matrix((data, (rows, cols)), shape=(N, N)))
     return ClassGraphSet(sampled)
-
-
-def condense_class_graphs(
-    clustering: Clustering, class_set: ClassGraphSet
-) -> ClassGraphSet:
-    """Compress each class adjacency with the rescaled membership operator."""
-    _, c_norm = sketching_matrices(clustering)
-    condensed = [compress_adjacency(c_norm, a) for a in class_set.sampled]
-    return ClassGraphSet(class_set.sampled, condensed)
 
 
 def syn_loss(view_probs: list[np.ndarray], y_prime: np.ndarray) -> float:
@@ -257,17 +242,17 @@ def refine(
     labels: np.ndarray,
     train_mask: np.ndarray,
     condensed: CondensedGraph,
-    class_set: ClassGraphSet,
+    views: list[np.ndarray],
     params_init: ClassifierParams,
     cfg: PipelineConfig,
     seed: int,
 ) -> RefineResult:
     """Descend the joint objective over (Delta, W') for cfg.E3 steps.
 
-    cfg supplies beta, gamma, lambda_, T_prime, the learning rate lr and
-    optimizer; the class views propagate with alpha_prime, or with
-    the propagation alpha when alpha_prime is negative. seed seeds the
-    dropout stream.
+    views holds one condensed class adjacency per class. cfg supplies
+    beta, gamma, lambda_, T_prime, the learning rate lr and optimizer; the
+    class views propagate with alpha_prime, or with the propagation alpha
+    when alpha_prime is negative. seed seeds the dropout stream.
 
     Of Z and labels only the train_mask rows are read: they are sliced out
     once, so the full-graph term forwards the head (and draws its dropout
@@ -275,8 +260,8 @@ def refine(
     epochs returns X' unchanged. The head is reinitialized by the caller,
     not reused from pretraining. Raises DivergedError on a non-finite loss.
     """
-    if not class_set.condensed:
-        raise ValueError("class_set must carry condensed adjacencies")
+    if not views:
+        raise ValueError("refine needs the condensed adjacencies of the class views")
     train_idx = np.flatnonzero(np.asarray(train_mask, dtype=bool))
     Z_train = np.asarray(Z, dtype=np.float64)[train_idx]
     labels_train = np.asarray(labels)[train_idx]
@@ -295,7 +280,7 @@ def refine(
             all_rows,
             condensed.x_prime,
             condensed.y_prime,
-            class_set.condensed,
+            views,
             delta,
             params,
             cfg.beta,

@@ -15,7 +15,7 @@ from graphdistill.cluster import (
     cluster_means,
     kmeans,
     minibatch_kmeans,
-    sketching_matrices,
+    sketching_matrix,
     wcss,
 )
 
@@ -153,15 +153,18 @@ def test_minibatch_objective_near_full_batch():
     assert wcss(pts, mini) <= 1.1 * wcss(pts, full)
 
 
-def test_sketching_matrices_are_exact():
+def test_sketching_matrix_is_exact():
     rng = np.random.default_rng(8)
     pts = rng.standard_normal((30, 4))
     res = kmeans(pts, 5, seed=0)
-    C, C_norm = sketching_matrices(res)
-    dense = C.toarray()
-    assert set(np.unique(dense)) <= {0.0, 1.0}
-    assert np.array_equal(dense.sum(axis=1), np.ones(30))
-    assert np.array_equal(dense.sum(axis=0), res.sizes)
+    C_norm = sketching_matrix(res)
+    # one entry per point, 1 / size in its cluster's column
+    dense = C_norm.toarray()
+    assert np.array_equal(np.count_nonzero(dense, axis=1), np.ones(30))
+    assert np.array_equal(np.count_nonzero(dense, axis=0), res.sizes)
+    assert np.array_equal(
+        dense[np.arange(30), res.assignment], 1.0 / res.sizes[res.assignment]
+    )
     # rescaled columns sum to one; bit-exactness is a property of the
     # grouped-mean operator, not the materialized matrix
     col_sums = np.asarray(C_norm.sum(axis=0)).ravel()
@@ -187,7 +190,7 @@ def test_cluster_means_agree_with_sparse_product():
     pts = rng.standard_normal((25, 2))
     H = rng.standard_normal((25, 4))
     res = kmeans(pts, 3, seed=2)
-    _, C_norm = sketching_matrices(res)
+    C_norm = sketching_matrix(res)
     assert np.max(np.abs(cluster_means(res, H) - C_norm.T @ H)) <= 1e-12
 
 

@@ -118,7 +118,7 @@ def test_gcn_forward_matches_layer_by_layer_products():
         got = gcn_forward(params, a_hat, x)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         # training mode draws one dropout mask over h1 from the given stream
-        got = _gcn_forward_cache(params, a_hat, x, np.random.default_rng(5))[0]
+        got = _gcn_forward_cache(params, a_hat, a_hat @ x, np.random.default_rng(5))[0]
         keep = np.random.default_rng(5).random((40, 32)) >= params.dropout_rate
         want = _gcn_reference(params, a_hat, x, keep / (1.0 - params.dropout_rate))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -139,7 +139,7 @@ def test_gcn_gradients_match_finite_differences():
         P = softmax_predict(logits)
         return float(-np.mean(np.log(P[np.arange(6), labels])))
 
-    logits, cache = _gcn_forward_cache(params, a_hat, x, None)
+    logits, cache = _gcn_forward_cache(params, a_hat, a_hat @ x, None)
     P = softmax_predict(logits)
     grads = _gcn_backward(params, a_hat, cache, (P - onehot) / 6.0)
     tensors = [params.weights[0], params.biases[0], params.weights[1], params.biases[1]]
@@ -268,7 +268,7 @@ def _best_val_reference(condensed, cfg, seed, dataset):
     adam = AdamState([t.shape for t in tensors])
     best, best_val = None, -1.0
     for _ in range(cfg.eval_epochs):
-        logits, cache = _gcn_forward_cache(params, a_hat, condensed.x_prime, rng)
+        logits, cache = _gcn_forward_cache(params, a_hat, a_hat @ condensed.x_prime, rng)
         dlogits = (softmax_predict(logits) - condensed.y_prime) / n
         grads = list(_gcn_backward(params, a_hat, cache, dlogits))
         grads[0] += cfg.eval_weight_decay * params.weights[0]
@@ -466,12 +466,10 @@ def test_gcn_gate_matches_mask_and_scale_reference_bitwise(dropout):
     want, ref_cache = _gcn_cache_reference(params, a_hat, x, np.random.default_rng(2))
     dlogits = np.random.default_rng(3).standard_normal(want.shape) / 120.0
     want_grads = _gcn_backward_reference(params, a_hat, ref_cache, dlogits)
-    # a precomputed Â X, as train_eval_gcn passes it, changes nothing
-    for ax in (None, a_hat @ x):
-        got, cache = _gcn_forward_cache(params, a_hat, x, np.random.default_rng(2), ax=ax)
-        assert got.tobytes() == want.tobytes()
-        for g, w in zip(_gcn_backward(params, a_hat, cache, dlogits), want_grads):
-            assert g.tobytes() == w.tobytes()
+    got, cache = _gcn_forward_cache(params, a_hat, a_hat @ x, np.random.default_rng(2))
+    assert got.tobytes() == want.tobytes()
+    for g, w in zip(_gcn_backward(params, a_hat, cache, dlogits), want_grads):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_row_blocked_gcn_forward_matches_whole_matrix_reference_bitwise():

@@ -35,8 +35,6 @@ def test_from_edges_rejects_bad_input():
         SparseGraph.from_edges(3, [(0, 3)])
     with pytest.raises(GraphError):
         SparseGraph.from_edges(3, [(0, 1), (1, 0)])
-    with pytest.raises(GraphError):
-        SparseGraph.from_edges(3, [(0, 1)], weights=[0.0])
 
 
 def test_dataset_refuses_non_finite_features():

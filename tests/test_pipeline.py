@@ -621,6 +621,20 @@ def test_run_pipeline_frees_sampled_graphs_and_z_after_their_last_reader(monkeyp
     assert seen["evaluate"] == {"sampled": 0, "Z": False}
 
 
+def test_run_pipeline_builds_the_sketching_matrix_once(monkeypatch):
+    # A' and every class view are compressed with the same C_norm
+    calls = []
+    real = pipeline.sketching_matrix
+
+    def counting(clustering):
+        calls.append(clustering)
+        return real(clustering)
+
+    monkeypatch.setattr(pipeline, "sketching_matrix", counting)
+    run_pipeline(_small_sbm(0), _fast_config())
+    assert len(calls) == 1
+
+
 def test_report_block_format():
     ds = _small_sbm(0)
     result = run_pipeline(ds, _fast_config())

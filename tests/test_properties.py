@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_graph
-from graphdistill.cluster import Clustering, cluster_means
-from graphdistill.condense import CondensedGraph, condense_adjacency
+from graphdistill.cluster import Clustering, cluster_means, sketching_matrix
+from graphdistill.condense import CondensedGraph, compress_adjacency
 from graphdistill.graph import normalized_adjacency
 from graphdistill.propagate import gls_propagate, propagate_dense
 from oracles import gls_solve_exact
@@ -122,7 +122,7 @@ def condensation_cases(draw):
 @given(condensation_cases())
 def test_condensed_adjacency_is_symmetric_nonnegative_and_finite(case):
     a_norm, clustering = case
-    a = condense_adjacency(clustering, a_norm)
+    a = compress_adjacency(sketching_matrix(clustering), a_norm.to_scipy())
     k = clustering.num_clusters
     assert a.shape == (k, k)
     assert np.all(np.isfinite(a))

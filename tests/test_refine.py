@@ -3,16 +3,15 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import random_graph
-from graphdistill.condense import CondensedGraph
+from graphdistill.cluster import kmeans, sketching_matrix
+from graphdistill.condense import CondensedGraph, compress_adjacency
 from graphdistill.graph import GraphError, SparseGraph, normalize_rows
 from graphdistill.model import init_classifier
 from graphdistill.pipeline import PipelineConfig
 from graphdistill.propagate import propagate_dense
 from graphdistill.refine import (
     COS_FLOOR,
-    ClassGraphSet,
     class_edge_weights,
-    condense_class_graphs,
     consistency_loss,
     cosine_degrees,
     effective_resistance_approx,
@@ -187,20 +186,18 @@ def test_sampling_score_weighting_and_errors():
         sample_class_graphs(a_norm, P, res, rho=0.5, weighting="bogus")
 
 
-def test_condense_class_graphs_dense_oracle():
-    from graphdistill.cluster import kmeans
-
+def test_condensed_class_views_dense_oracle():
     a_norm, P, res = _setup_sampling(seed=4)
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((a_norm.num_nodes, 3))
     clustering = kmeans(pts, 4, seed=0)
-    class_set = sample_class_graphs(a_norm, P, res, rho=0.6)
-    out = condense_class_graphs(clustering, class_set)
+    c_norm = sketching_matrix(clustering)
     c = np.zeros((a_norm.num_nodes, 4))
     c[np.arange(a_norm.num_nodes), clustering.assignment] = (
         1.0 / clustering.sizes[clustering.assignment]
     )
-    for sampled, condensed in zip(out.sampled, out.condensed):
+    for sampled in sample_class_graphs(a_norm, P, res, rho=0.6).sampled:
+        condensed = compress_adjacency(c_norm, sampled)
         ref = c.T @ sampled.toarray() @ c
         assert np.max(np.abs(condensed - ref)) <= 1e-12
         assert np.array_equal(condensed, condensed.T)
@@ -441,31 +438,30 @@ def test_views_propagate_the_narrower_operand(monkeypatch, depth, d):
 def _refine_inputs(seed=10):
     Z, labels, mask, x_prime, y_prime, adjs, params, _ = _instance(seed)
     condensed = CondensedGraph(x_prime, np.zeros((4, 4)), y_prime)
-    class_set = ClassGraphSet(sampled=[], condensed=adjs)
-    return Z, labels, mask, condensed, class_set, params
+    return Z, labels, mask, condensed, adjs, params
 
 
 def test_refine_zero_epochs_is_identity():
-    Z, labels, mask, condensed, class_set, params = _refine_inputs()
+    Z, labels, mask, condensed, views, params = _refine_inputs()
     cfg = PipelineConfig(E3=0)
-    out = refine(Z, labels, mask, condensed, class_set, params, cfg, 0)
+    out = refine(Z, labels, mask, condensed, views, params, cfg, 0)
     assert np.array_equal(out.x_refined, condensed.x_prime)
     assert out.loss_trace == []
 
 
 def test_refine_without_objective_terms_keeps_attributes():
-    Z, labels, mask, condensed, class_set, params = _refine_inputs()
+    Z, labels, mask, condensed, views, params = _refine_inputs()
     cfg = PipelineConfig(gamma=0.0, lambda_=0.0, E3=5, optimizer="gd")
-    out = refine(Z, labels, mask, condensed, class_set, params, cfg, 0)
+    out = refine(Z, labels, mask, condensed, views, params, cfg, 0)
     assert np.array_equal(out.x_refined, condensed.x_prime)
     assert np.array_equal(out.delta, np.zeros_like(condensed.x_prime))
 
 
 def test_refine_is_deterministic_and_loss_decreases():
-    Z, labels, mask, condensed, class_set, params = _refine_inputs(11)
+    Z, labels, mask, condensed, views, params = _refine_inputs(11)
     cfg = PipelineConfig(E3=40, lr=0.01)
-    a = refine(Z, labels, mask, condensed, class_set, params, cfg, 3)
-    b = refine(Z, labels, mask, condensed, class_set, params, cfg, 3)
+    a = refine(Z, labels, mask, condensed, views, params, cfg, 3)
+    b = refine(Z, labels, mask, condensed, views, params, cfg, 3)
     assert np.array_equal(a.x_refined, b.x_refined)
     assert a.loss_trace[-1] < a.loss_trace[0]
 
@@ -473,20 +469,19 @@ def test_refine_is_deterministic_and_loss_decreases():
 def test_refine_requires_condensed_adjacencies():
     Z, labels, mask, condensed, _, params = _refine_inputs(12)
     with pytest.raises(ValueError, match="condensed adjacencies"):
-        refine(Z, labels, mask, condensed, ClassGraphSet(sampled=[]), params,
-               PipelineConfig(E3=1), 0)
+        refine(Z, labels, mask, condensed, [], params, PipelineConfig(E3=1), 0)
 
 
 def test_alpha_prime_override_changes_result():
-    Z, labels, mask, condensed, class_set, params = _refine_inputs(13)
+    Z, labels, mask, condensed, views, params = _refine_inputs(13)
     base = PipelineConfig(E3=10, alpha=0.8)
     override = PipelineConfig(E3=10, alpha=0.8, alpha_prime=0.2)
-    a = refine(Z, labels, mask, condensed, class_set, params, base, 0)
-    b = refine(Z, labels, mask, condensed, class_set, params, override, 0)
+    a = refine(Z, labels, mask, condensed, views, params, base, 0)
+    b = refine(Z, labels, mask, condensed, views, params, override, 0)
     assert not np.array_equal(a.x_refined, b.x_refined)
     # a negative alpha_prime reuses alpha: alpha 0.2 gives the override's bytes
     reuse = PipelineConfig(E3=10, alpha=0.2, alpha_prime=-1.0)
-    c = refine(Z, labels, mask, condensed, class_set, params, reuse, 0)
+    c = refine(Z, labels, mask, condensed, views, params, reuse, 0)
     assert c.x_refined.tobytes() == b.x_refined.tobytes()
     assert c.delta.tobytes() == b.delta.tobytes()
     for g, w in zip(c.params.weights + c.params.biases, b.params.weights + b.params.biases):
@@ -495,11 +490,11 @@ def test_alpha_prime_override_changes_result():
 
 
 def test_refine_reads_only_training_rows():
-    Z, labels, mask, condensed, class_set, params = _refine_inputs(14)
+    Z, labels, mask, condensed, views, params = _refine_inputs(14)
     params.dropout_rate = 0.3
     Z[~mask] = np.nan
     cfg = PipelineConfig(E3=10)
-    out = refine(Z, labels, mask, condensed, class_set, params, cfg, 1)
+    out = refine(Z, labels, mask, condensed, views, params, cfg, 1)
     assert np.all(np.isfinite(out.loss_trace))
     assert np.all(np.isfinite(out.x_refined))
     for w, b in zip(out.params.weights, out.params.biases):
