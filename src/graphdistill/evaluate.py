@@ -16,11 +16,11 @@ import scipy.sparse as sp
 from .condense import CondensedGraph
 from .graph import Dataset, SparseGraph
 from .model import (
+    AdamState,
     ClassifierParams,
     DivergedError,
     _l2_penalty,
     init_classifier,
-    optimizer_step,
     relu_dropout,
     relu_dropout_grad,
     relu_layers,
@@ -131,10 +131,10 @@ def train_eval_gcn(
 ) -> ClassifierParams:
     """Train a GCN on the condensed triple; every synthetic node is labeled.
 
-    cfg supplies the eval_* settings, optimizer and model_selection. The
-    GCN's two layers are a depth-2 head's (W, b). a_hat is Â′, the
-    renormalized adjacency of condensed.a_prime. model_selection
-    "best_val" tracks validation accuracy on the original dataset and keeps
+    cfg supplies the eval_* settings, eval_lr being Adam's, and
+    model_selection. The GCN's two layers are a depth-2 head's (W, b).
+    a_hat is Â′, the renormalized adjacency of condensed.a_prime.
+    model_selection "best_val" tracks validation accuracy on the original dataset and keeps
     the best epoch; "final" returns the last epoch. "best_val" needs
     validation, the (logits, labels) pair that _validation_logits returns,
     which scores only the validation rows and gives the same logits as a
@@ -150,7 +150,7 @@ def train_eval_gcn(
         hidden_dim=cfg.eval_hidden, dropout_rate=cfg.eval_dropout,
     )
     labels = condensed.labels
-    step = optimizer_step(cfg.optimizer, params.weights + params.biases)
+    step = AdamState(params.weights + params.biases).step
 
     best_params, best_val = None, -1.0
 

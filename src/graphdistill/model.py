@@ -9,7 +9,7 @@ gradient can be checked against finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -243,28 +243,29 @@ def _l2_penalty(params: ClassifierParams, weight_decay: float) -> float:
 
 
 class AdamState:
-    """Per-tensor first/second moment buffers with bias correction.
+    """Adam over a fixed list of tensors, which each step moves in place.
 
+    Per-tensor first/second moment buffers carry the bias correction.
     Moments update in place and each step is built in two preallocated
     scratch buffers per tensor, with the same operations in the same order
     as the textbook formula, so results match it bit for bit.
     """
 
-    def __init__(self, shapes: list[tuple[int, ...]]):
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
-        self._num = [np.empty(s) for s in shapes]
-        self._den = [np.empty(s) for s in shapes]
+    def __init__(self, tensors: list[np.ndarray]):
+        self.tensors = tensors
+        self.m = [np.zeros(x.shape) for x in tensors]
+        self.v = [np.zeros(x.shape) for x in tensors]
+        self._num = [np.empty(x.shape) for x in tensors]
+        self._den = [np.empty(x.shape) for x in tensors]
         self.t = 0
 
-    def step(
-        self, tensors: list[np.ndarray], grads: list[np.ndarray], lr: float
-    ) -> None:
+    def step(self, grads: list[np.ndarray], lr: float) -> None:
+        """One update; grads holds one gradient per tensor, in the same order."""
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
         for x, g, m, v, num, den in zip(
-            tensors, grads, self.m, self.v, self._num, self._den
+            self.tensors, grads, self.m, self.v, self._num, self._den
         ):
             # m = b1 * m + (1 - b1) * g
             np.multiply(g, 1.0 - b1, out=num)
@@ -285,31 +286,6 @@ class AdamState:
             x -= num
 
 
-OPTIMIZERS = ("adam", "gd")
-
-
-def optimizer_step(
-    name: str, tensors: list[np.ndarray]
-) -> Callable[[list[np.ndarray], float], None]:
-    """The update named by an optimizer setting, as step(grads, lr).
-
-    Each call moves the given tensors in place, one gradient per tensor in
-    the same order. "adam" keeps its moments in an AdamState; "gd" is plain
-    gradient descent.
-    """
-    if name == "adam":
-        state = AdamState([t.shape for t in tensors])
-        return lambda grads, lr: state.step(tensors, grads, lr)
-    if name == "gd":
-
-        def descend(grads: list[np.ndarray], lr: float) -> None:
-            for t, g in zip(tensors, grads):
-                t -= lr * g
-
-        return descend
-    raise ValueError(f"unknown optimizer {name!r}")
-
-
 def train_classifier(
     Z: np.ndarray,
     labels: np.ndarray,
@@ -320,8 +296,8 @@ def train_classifier(
 ) -> tuple[ClassifierParams, list[float]]:
     """Train on masked rows of Z; returns final params and the loss trajectory.
 
-    cfg supplies the epoch count E1, the learning rate lr, weight_decay and
-    optimizer; seed seeds the dropout stream. Only the masked rows
+    cfg supplies the epoch count E1, the Adam learning rate lr and
+    weight_decay; seed seeds the dropout stream. Only the masked rows
     are read: they are sliced out once, and each epoch forwards and
     backpropagates all of them, so dropout masks are drawn over those rows
     alone. The loss is mean cross-entropy over the masked rows plus
@@ -343,7 +319,7 @@ def train_classifier(
     train_idx = np.flatnonzero(mask)
     Z_train, labels_train = Z[train_idx], labels[train_idx]
 
-    step = optimizer_step(cfg.optimizer, params.weights + params.biases)
+    step = AdamState(params.weights + params.biases).step
 
     losses: list[float] = []
     for epoch in range(cfg.E1):

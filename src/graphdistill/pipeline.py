@@ -60,7 +60,6 @@ class PipelineError(RuntimeError):
 
 # The allowed values of each config field that names a choice.
 CHOICES = {
-    "optimizer": model.OPTIMIZERS,
     "ratio_base": ("all", "train"),
     "model_selection": MODEL_SELECTIONS,
     "class_graph_weighting": WEIGHTINGS,
@@ -105,7 +104,6 @@ class PipelineConfig:
     dropout: float = 0.6
     hidden: int = 256
     depth: int = 3
-    optimizer: str = "adam"  # of pretraining, refinement and evaluation
     # clustering
     E2: int = 300
     kmeans_n_init: int = 10

@@ -295,13 +295,13 @@ def _refine_gradcheck_worst() -> tuple[float, float]:
 
         def loss_fn():
             out = refine_loss_and_grads(
-                Z, labels, mask, x_prime, y_prime, adjs, delta, params,
+                Z[mask], labels[mask], y_prime, x_prime, adjs, delta, params,
                 beta, alpha, tp, gamma, lam,
             )
             return out[0]
 
         _, _, d_delta, d_w, d_b = refine_loss_and_grads(
-            Z, labels, mask, x_prime, y_prime, adjs, delta, params,
+            Z[mask], labels[mask], y_prime, x_prime, adjs, delta, params,
             beta, alpha, tp, gamma, lam,
         )
         worst_delta = max(worst_delta, _rel(_fd_grad(loss_fn, delta), d_delta))

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -6,10 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from graphdistill.cli import main
 from graphdistill.condense import CondensedGraph
-from graphdistill.dataio import load_condensed, load_dataset, load_flat_toml, save_condensed
+from graphdistill.dataio import (
+    load_condensed,
+    load_dataset,
+    load_flat_toml,
+    save_condensed,
+    save_dataset,
+)
+from graphdistill.pipeline import SbmSpec, generate_sbm
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -350,6 +360,73 @@ def test_gen_sbm_determinism(tmp_path):
     da = load_dataset(a)
     db = load_dataset(b)
     assert np.array_equal(da.features, db.features)
+
+
+# The field separator of each dataset file; None for one value per line.
+SEPARATORS = {"edges.tsv": "\t", "features.csv": ",", "labels.txt": None, "masks.txt": None}
+
+# Each kind of corruption, and the files it applies to.
+CORRUPTIONS = {
+    "truncated-line": ("edges.tsv", "features.csv", "labels.txt", "masks.txt"),
+    "non-numeric-token": ("edges.tsv", "features.csv", "labels.txt"),
+    "wrong-row-width": ("edges.tsv", "features.csv"),
+    "out-of-range-label": ("labels.txt",),
+    "unknown-mask-token": ("masks.txt",),
+}
+
+
+def _corrupt(line, kind, sep, field, word, label):
+    """line with the corruption kind applied; sep is its file's field separator."""
+    fields = line.split(sep) if sep else [line]
+    if kind == "truncated-line":
+        return sep.join(fields[:-1]) if sep else ""
+    if kind == "non-numeric-token":
+        fields[field % len(fields)] = word
+        return (sep or "").join(fields)
+    if kind == "wrong-row-width":
+        return line + sep + fields[0]
+    if kind == "out-of-range-label":
+        return str(label)
+    return word
+
+
+@pytest.mark.parametrize(
+    "kind, name", [(kind, name) for kind, names in CORRUPTIONS.items() for name in names]
+)
+@settings(
+    max_examples=5, derandomize=True, database=None, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    row=st.integers(0, 10**6),
+    field=st.integers(0, 10),
+    # no word over these letters parses as a number ("inf", "nan") or is a
+    # mask token
+    word=st.text(alphabet="abcdxyz", min_size=1, max_size=5),
+    label=st.one_of(st.integers(3, 50), st.integers(-50, -1)),
+)
+def test_corrupted_dataset_exits_with_one_line_naming_the_file(
+    tmp_path, capsys, kind, name, row, field, word, label
+):
+    data_dir, cond_dir = tmp_path / "data", tmp_path / "cond"
+    # a load writes features.cache.npz beside the features, so every example
+    # starts from a fresh directory
+    shutil.rmtree(data_dir, ignore_errors=True)
+    spec = SbmSpec(num_nodes=12, num_classes=3, intra_prob=0.6, inter_prob=0.1, feature_dim=3)
+    save_dataset(generate_sbm(spec), data_dir)
+    save_condensed(CondensedGraph(np.zeros((3, 3)), np.eye(3), np.eye(3)), cond_dir)
+    path = data_dir / name
+    lines = path.read_text().splitlines()
+    row %= len(lines)
+    lines[row] = _corrupt(lines[row], kind, SEPARATORS[name], field, word, label)
+    path.write_text("\n".join(lines) + "\n")
+
+    rc = main(["evaluate", "--dataset-dir", str(data_dir), "--condensed-dir", str(cond_dir)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.err.startswith(f"error: {path}:{row + 1}: "), captured.err
 
 
 def test_distill_does_not_import_the_sparse_solvers(tmp_path):

@@ -186,23 +186,12 @@ def test_input_gradient_matches_finite_differences():
     assert _rel_err(fd, dz) <= 1e-4
 
 
-def test_plain_descent_loss_non_increasing():
-    for seed in range(20):
-        rng = np.random.default_rng(300 + seed)
-        z = rng.standard_normal((20, 4))
-        labels = rng.integers(0, 3, size=20)
-        params = init_classifier(rng, 4, 3, depth=2, hidden_dim=8)
-        cfg = PipelineConfig(E1=10, lr=0.05, weight_decay=0.0, optimizer="gd")
-        _, losses = train_classifier(z, labels, np.ones(20, bool), params, cfg, seed)
-        assert all(losses[i + 1] <= losses[i] + 1e-12 for i in range(len(losses) - 1))
-
-
 def test_training_fits_separable_blobs():
     rng = np.random.default_rng(5)
     z = np.vstack([rng.standard_normal((20, 2)) + 8.0, rng.standard_normal((20, 2)) - 8.0])
     labels = np.array([0] * 20 + [1] * 20)
     params = init_classifier(rng, 2, 2, depth=1)
-    cfg = PipelineConfig(E1=200, lr=0.5, weight_decay=0.0, optimizer="gd")
+    cfg = PipelineConfig(E1=200, lr=0.5, weight_decay=0.0)
     trained, _ = train_classifier(z, labels, np.ones(40, bool), params, cfg, 0)
     pred = np.argmax(forward(trained, z), axis=1)
     assert np.mean(pred == labels) == 1.0
@@ -213,7 +202,7 @@ def test_zero_learning_rate_keeps_params():
     z = rng.standard_normal((10, 3))
     labels = rng.integers(0, 2, size=10)
     params = init_classifier(rng, 3, 2, depth=2, hidden_dim=4)
-    cfg = PipelineConfig(E1=5, lr=0.0, weight_decay=0.0, optimizer="gd")
+    cfg = PipelineConfig(E1=5, lr=0.0, weight_decay=0.0)
     trained, _ = train_classifier(z, labels, np.ones(10, bool), params, cfg, 0)
     for w0, w1 in zip(params.weights, trained.weights):
         assert np.array_equal(w0, w1)
@@ -225,7 +214,9 @@ def test_divergence_raises_with_epoch():
     z = rng.standard_normal((10, 3))
     labels = rng.integers(0, 2, size=10)
     params = init_classifier(rng, 3, 2, depth=2, hidden_dim=4)
-    cfg = PipelineConfig(E1=50, lr=1e120, weight_decay=0.0, optimizer="gd")
+    # Adam moves each weight by about lr per step, so only an lr near the
+    # top of the float range overflows
+    cfg = PipelineConfig(E1=50, lr=1e160, weight_decay=0.0)
     with pytest.raises(DivergedError) as err:
         train_classifier(z, labels, np.ones(10, bool), params, cfg, 0)
     assert err.value.epoch >= 0
@@ -236,7 +227,7 @@ def test_training_with_dropout_is_deterministic():
     z = rng.standard_normal((30, 4))
     labels = rng.integers(0, 3, size=30)
     params = init_classifier(rng, 4, 3, depth=2, hidden_dim=6, dropout_rate=0.3)
-    cfg = PipelineConfig(E1=15, lr=0.1, optimizer="gd")
+    cfg = PipelineConfig(E1=15, lr=0.1)
     a, _ = train_classifier(z, labels, np.ones(30, bool), params, cfg, 9)
     b, _ = train_classifier(z, labels, np.ones(30, bool), params, cfg, 9)
     for wa, wb in zip(a.weights, b.weights):
@@ -248,7 +239,7 @@ def test_adam_path_runs_and_is_deterministic():
     z = rng.standard_normal((25, 4))
     labels = rng.integers(0, 3, size=25)
     params = init_classifier(rng, 4, 3, depth=3, hidden_dim=6)
-    cfg = PipelineConfig(E1=30, lr=0.01, optimizer="adam")
+    cfg = PipelineConfig(E1=30, lr=0.01)
     a, losses = train_classifier(z, labels, np.ones(25, bool), params, cfg, 1)
     b, _ = train_classifier(z, labels, np.ones(25, bool), params, cfg, 1)
     assert losses[-1] < losses[0]
@@ -263,11 +254,11 @@ def test_adam_step_matches_reference_formula():
     ref = [t.copy() for t in tensors]
     ref_m = [np.zeros(s) for s in shapes]
     ref_v = [np.zeros(s) for s in shapes]
-    adam = AdamState(shapes)
+    adam = AdamState(tensors)
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     for t in range(1, 8):
         grads = [rng.standard_normal(s) for s in shapes]
-        adam.step(tensors, grads, lr)
+        adam.step(grads, lr)
         for i, g in enumerate(grads):
             ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
             ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * g**2
@@ -287,7 +278,7 @@ def test_training_reads_only_masked_rows():
     mask = rng.random(30) < 0.5
     z[~mask] = np.nan
     params = init_classifier(rng, 4, 3, depth=3, hidden_dim=6, dropout_rate=0.3)
-    cfg = PipelineConfig(E1=10, lr=0.05, optimizer="adam")
+    cfg = PipelineConfig(E1=10, lr=0.05)
     trained, losses = train_classifier(z, labels, mask, params, cfg, 2)
     assert np.all(np.isfinite(losses))
     for w, b in zip(trained.weights, trained.biases):
@@ -407,7 +398,7 @@ def test_training_epochs_hold_fewer_than_four_hidden_activations():
     labels = rng.integers(0, 4, size=rows)
     mask = np.ones(rows, dtype=bool)
     params = init_classifier(rng, 32, 4, depth=3, hidden_dim=hidden, dropout_rate=0.5)
-    cfg = PipelineConfig(E1=2, lr=0.01, optimizer="adam")
+    cfg = PipelineConfig(E1=2, lr=0.01)
     tracemalloc.start()
     try:
         train_classifier(z, labels, mask, params, cfg, 1)
@@ -429,7 +420,7 @@ def test_training_drops_the_layer_zero_gradient_at_once():
     labels = rng.integers(0, 4, size=rows)
     mask = np.ones(rows, dtype=bool)
     params = init_classifier(rng, 16, 4, depth=3, hidden_dim=hidden, dropout_rate=0.5)
-    cfg = PipelineConfig(E1=3, lr=0.01, optimizer="adam")
+    cfg = PipelineConfig(E1=3, lr=0.01)
     tracemalloc.start()
     try:
         train_classifier(z, labels, mask, params, cfg, 1)

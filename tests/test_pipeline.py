@@ -478,7 +478,6 @@ def stage_times(monkeypatch):
     [
         ("model_selection", "best-val"),
         ("ratio_base", "Train"),
-        ("optimizer", "Adam"),
         ("class_graph_weighting", "Score"),
     ],
 )
@@ -660,7 +659,7 @@ def test_config_round_trip_and_hash():
 # is refused, not silently ignored.
 REMOVED_KEYS = (
     "pretrain_optimizer", "refine_optimizer", "eval_optimizer",
-    "fid_normalize", "sparsify_epsilon", "kmeans_tol",
+    "fid_normalize", "sparsify_epsilon", "kmeans_tol", "optimizer",
 )
 
 

@@ -214,7 +214,7 @@ def test_class_representations_zero_depth_propagation():
     Z = rng.standard_normal((5, 3))
     labels = np.array([0, 1, 0, 1, 1])
     _, (_, l_syn, l_cst), _, _, _ = refine_loss_and_grads(
-        Z, labels, np.ones(5, dtype=bool), x, y_prime, adjs, delta, params,
+        Z, labels, y_prime, x, adjs, delta, params,
         beta=0.2, alpha=0.7, T_prime=0, gamma=1.0, lambda_=1.0,
     )
     view = model.softmax_predict(model.forward(params, 0.3 * (x + 0.2 * delta)))
@@ -284,13 +284,13 @@ def test_refine_gradients_match_finite_differences():
 
         def loss_fn():
             out = refine_loss_and_grads(
-                Z, labels, mask, x_prime, y_prime, adjs, delta, params,
+                Z[mask], labels[mask], y_prime, x_prime, adjs, delta, params,
                 beta, alpha, tp, gamma, lam,
             )
             return out[0]
 
         _, _, d_delta, d_w, d_b = refine_loss_and_grads(
-            Z, labels, mask, x_prime, y_prime, adjs, delta, params,
+            Z[mask], labels[mask], y_prime, x_prime, adjs, delta, params,
             beta, alpha, tp, gamma, lam,
         )
         assert _rel(_fd(loss_fn, delta), d_delta) <= 1e-4
@@ -325,21 +325,18 @@ def _view_instance(seed, depth, dropout=0.0, d=9):
         b += 0.5 * rng.standard_normal(b.shape)
     delta = 0.1 * rng.standard_normal((n, d))
     # in refine_loss_and_grads' argument order
-    return Z, labels, mask, x_prime, y_prime, adjs, delta, params
+    return Z[mask], labels[mask], y_prime, x_prime, adjs, delta, params
 
 
 def _refine_loss_and_grads_reference(
-    Z, labels, train_mask, x_prime, y_prime, cond_adjs, delta, params,
+    Z, labels, y_prime, x_prime, cond_adjs, delta, params,
     beta, alpha, T_prime, gamma, lambda_, rng=None,
 ):
     """Each class view propagates the d-wide X' + beta Delta and runs the
     whole head on it; the Delta gradient is pulled back view by view."""
     n, num_classes = y_prime.shape
-    mask = np.asarray(train_mask, dtype=bool)
     logits_org, cache_org = model.forward_cache(params, Z, rng)
-    _, l_org, d_org = model.softmax_cross_entropy(logits_org[mask], labels[mask])
-    dlogits_org = np.zeros_like(logits_org)
-    dlogits_org[mask] = d_org
+    _, l_org, dlogits_org = model.softmax_cross_entropy(logits_org, labels)
     _, d_w, d_b = model.backward(params, cache_org, dlogits_org)
 
     base = x_prime + beta * delta
@@ -391,10 +388,10 @@ def test_projected_views_match_wide_reference(depth, dropout):
 def test_projected_view_gradients_match_finite_differences(depth):
     beta, alpha, tp, gamma, lam = 0.05, 0.6, 2, 1.7, 0.3
     for seed in range(10):
-        Z, labels, mask, x_prime, y_prime, adjs, delta, params = _view_instance(
+        Z, labels, y_prime, x_prime, adjs, delta, params = _view_instance(
             800 + seed, depth
         )
-        args = (Z, labels, mask, x_prime, y_prime, adjs, delta, params,
+        args = (Z, labels, y_prime, x_prime, adjs, delta, params,
                 beta, alpha, tp, gamma, lam)
         _, _, d_delta, d_w, d_b = refine_loss_and_grads(*args)
         loss_fn = lambda: refine_loss_and_grads(*args)[0]
@@ -431,8 +428,8 @@ def test_views_propagate_the_narrower_operand(monkeypatch, depth, d):
 
     monkeypatch.setattr("graphdistill.refine.propagate_dense", recording)
     refine_loss_and_grads(*inst, 0.05, 0.6, 2, 1.7, 0.3)
-    width = inst[7].weights[0].shape[1]
-    assert widths == [min(d, width)] * (2 * len(inst[5]))
+    width = inst[6].weights[0].shape[1]
+    assert widths == [min(d, width)] * (2 * len(inst[4]))
 
 
 def _refine_inputs(seed=10):
@@ -451,7 +448,7 @@ def test_refine_zero_epochs_is_identity():
 
 def test_refine_without_objective_terms_keeps_attributes():
     Z, labels, mask, condensed, views, params = _refine_inputs()
-    cfg = PipelineConfig(gamma=0.0, lambda_=0.0, E3=5, optimizer="gd")
+    cfg = PipelineConfig(gamma=0.0, lambda_=0.0, E3=5)
     out = refine(Z, labels, mask, condensed, views, params, cfg, 0)
     assert np.array_equal(out.x_refined, condensed.x_prime)
     assert np.array_equal(out.delta, np.zeros_like(condensed.x_prime))
