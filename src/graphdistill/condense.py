@@ -62,10 +62,15 @@ class CondensedGraph:
             raise ValueError("Y' must be one-hot")
 
 
-def compress_adjacency(c_norm: sp.csr_matrix, a: sp.csr_matrix) -> np.ndarray:
-    """C_norm^T A C_norm, densified and numerically symmetrized: A' or a class view."""
-    m = (c_norm.T @ (a @ c_norm)).toarray()
-    return 0.5 * (m + m.T)
+def compress_adjacency(c_norm: sp.csr_matrix, a: sp.csr_matrix) -> sp.csr_matrix:
+    """C_norm^T A C_norm, numerically symmetrized, in CSR form: A' or a class view.
+
+    Each stored entry is 0.5 * (m_ij + m_ji), and an entry absent from m
+    adds as 0.0, so .toarray() gives the bytes of symmetrizing the dense
+    product.
+    """
+    m = c_norm.T @ (a @ c_norm)
+    return (0.5 * (m + m.T)).tocsr()
 
 
 def condense_labels(

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .condense import CondensedGraph
-from .graph import Dataset, SparseGraph
+from .graph import Dataset, EdgeListError, SparseGraph
 
 
 class DatasetFormatError(ValueError):
@@ -325,7 +325,11 @@ def load_dataset(directory: Path | str) -> Dataset:
         raise DatasetFormatError(mask_path, len(tokens), f"expected {N} tokens")
     tokens = np.array(tokens)
 
-    graph = SparseGraph.from_edges(N, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    try:
+        graph = SparseGraph.from_edges(N, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    except EdgeListError as exc:
+        # edge i was read from line i + 1: both readers keep one edge per line
+        raise DatasetFormatError(edge_path, exc.edge + 1, str(exc)) from None
     return Dataset(
         graph,
         features,

@@ -19,6 +19,18 @@ class GraphError(ValueError):
     """Precondition violation in a graph container or graph operation."""
 
 
+class EdgeListError(GraphError):
+    """An entry of an edge list that SparseGraph.from_edges refuses.
+
+    edge is the entry's 0-based index in the list, so a reader can name its
+    line.
+    """
+
+    def __init__(self, message: str, edge: int):
+        super().__init__(message)
+        self.edge = edge
+
+
 def normalize_rows(X: np.ndarray) -> np.ndarray:
     """L2-normalize each row; rows with zero norm are left as zero vectors."""
     X = np.asarray(X, dtype=np.float64)
@@ -46,7 +58,10 @@ class SparseGraph:
             edges: (M, 2) integer array, either orientation per edge.
 
         Raises:
-            GraphError: on out-of-range ids, self loops or duplicates.
+            GraphError: when num_nodes is below 1.
+            EdgeListError: on an out-of-range id, a self loop or a duplicate,
+                naming the first such entry (for a duplicate, the first entry
+                that repeats an earlier one).
         """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         m = edges.shape[0]
@@ -54,9 +69,11 @@ class SparseGraph:
             raise GraphError("graph needs at least one node")
         if m > 0:
             if edges.min() < 0 or edges.max() >= num_nodes:
-                raise GraphError("edge endpoint out of range")
-            if np.any(edges[:, 0] == edges[:, 1]):
-                raise GraphError("self loops are not allowed")
+                outside = ((edges < 0) | (edges >= num_nodes)).any(axis=1)
+                raise EdgeListError("edge endpoint out of range", int(np.argmax(outside)))
+            loops = edges[:, 0] == edges[:, 1]
+            if np.any(loops):
+                raise EdgeListError("self loops are not allowed", int(np.argmax(loops)))
 
         rows = np.concatenate([edges[:, 0], edges[:, 1]])
         cols = np.concatenate([edges[:, 1], edges[:, 0]])
@@ -65,7 +82,14 @@ class SparseGraph:
         if m > 0:
             dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
             if np.any(dup):
-                raise GraphError("duplicate edges in input")
+                # a stable sort of the (low, high) pairs keeps repeats in
+                # list order, so each repeat follows the entry it repeats
+                lo, hi = edges.min(axis=1), edges.max(axis=1)
+                by_pair = np.lexsort((hi, lo))
+                same = (lo[by_pair[1:]] == lo[by_pair[:-1]]) & (
+                    hi[by_pair[1:]] == hi[by_pair[:-1]]
+                )
+                raise EdgeListError("duplicate edges in input", int(by_pair[1:][same].min()))
         offsets = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=num_nodes), out=offsets[1:])
         return cls(num_nodes, m, offsets, cols, np.ones(2 * m))

@@ -242,21 +242,31 @@ def _l2_penalty(params: ClassifierParams, weight_decay: float) -> float:
     return 0.5 * weight_decay * sum(float(np.sum(w**2)) for w in params.weights)
 
 
+# Elements per chunk of an Adam step: 32768 float64 values are 256 KiB, so a
+# chunk of x, g, m, v and the two scratch buffers stays in L2 across the
+# step's 14 passes.
+ADAM_CHUNK = 32768
+
+
 class AdamState:
-    """Adam over a fixed list of tensors, which each step moves in place.
+    """Adam over a fixed list of C-contiguous tensors, which each step moves in place.
 
     Per-tensor first/second moment buffers carry the bias correction.
-    Moments update in place and each step is built in two preallocated
-    scratch buffers per tensor, with the same operations in the same order
-    as the textbook formula, so results match it bit for bit.
+    Moments update in place. Each step runs over ADAM_CHUNK-element chunks
+    of the flattened tensors and builds its update in one chunk-sized pair
+    of scratch buffers, with the same elementwise operations in the same
+    order as the textbook formula, so results match it bit for bit
+    whatever the chunk size.
     """
 
     def __init__(self, tensors: list[np.ndarray]):
+        if not all(x.flags.c_contiguous for x in tensors):
+            raise ValueError("AdamState moves C-contiguous tensors only")
         self.tensors = tensors
         self.m = [np.zeros(x.shape) for x in tensors]
         self.v = [np.zeros(x.shape) for x in tensors]
-        self._num = [np.empty(x.shape) for x in tensors]
-        self._den = [np.empty(x.shape) for x in tensors]
+        chunk = min(ADAM_CHUNK, max((x.size for x in tensors), default=0))
+        self._num, self._den = np.empty(chunk), np.empty(chunk)
         self.t = 0
 
     def step(self, grads: list[np.ndarray], lr: float) -> None:
@@ -264,26 +274,29 @@ class AdamState:
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
-        for x, g, m, v, num, den in zip(
-            self.tensors, grads, self.m, self.v, self._num, self._den
-        ):
-            # m = b1 * m + (1 - b1) * g
-            np.multiply(g, 1.0 - b1, out=num)
-            m *= b1
-            m += num
-            # v = b2 * v + (1 - b2) * g**2
-            np.square(g, out=den)
-            den *= 1.0 - b2
-            v *= b2
-            v += den
-            # x -= lr * (m / c1) / (sqrt(v / c2) + eps)
-            np.divide(m, c1, out=num)
-            num *= lr
-            np.divide(v, c2, out=den)
-            np.sqrt(den, out=den)
-            den += eps
-            num /= den
-            x -= num
+        for x, g, m, v in zip(self.tensors, grads, self.m, self.v):
+            x, g, m, v = x.reshape(-1), np.ravel(g), m.reshape(-1), v.reshape(-1)
+            for lo in range(0, x.size, ADAM_CHUNK):
+                hi = min(lo + ADAM_CHUNK, x.size)
+                xc, gc, mc, vc = x[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+                num, den = self._num[: hi - lo], self._den[: hi - lo]
+                # m = b1 * m + (1 - b1) * g
+                np.multiply(gc, 1.0 - b1, out=num)
+                mc *= b1
+                mc += num
+                # v = b2 * v + (1 - b2) * g**2
+                np.square(gc, out=den)
+                den *= 1.0 - b2
+                vc *= b2
+                vc += den
+                # x -= lr * (m / c1) / (sqrt(v / c2) + eps)
+                np.divide(mc, c1, out=num)
+                num *= lr
+                np.divide(vc, c2, out=den)
+                np.sqrt(den, out=den)
+                den += eps
+                num /= den
+                xc -= num
 
 
 def train_classifier(

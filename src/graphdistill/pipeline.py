@@ -303,9 +303,13 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
 
     with _stage("condense", timings):
         x_prime = cluster_means(clustering, Z)
+        # refinement reads the training rows alone, and no other stage reads Z
+        train = dataset.train_mask
+        Z_train, labels_train = Z[train], dataset.labels[train]
+        del Z
         # one C_norm compresses A_norm here and every class graph below
         c_norm = sketching_matrix(clustering)
-        a_prime = compress_adjacency(c_norm, a_norm.to_scipy())
+        a_prime = compress_adjacency(c_norm, a_norm.to_scipy()).toarray()
         y_prime = condense_labels(clustering, H, dataset.num_classes)
         condensed = CondensedGraph(
             x_prime,
@@ -324,24 +328,27 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
     with _stage("class_graphs", timings):
         cos_deg = cosine_degrees(dataset.graph, H)
         resistance = effective_resistance_approx(dataset.graph, cos_deg)
-        # the K sampled N x N graphs live only until they are condensed
+        del cos_deg
+        # the K sampled N x N graphs live only until they are condensed; the
+        # views stay in CSR form, and refinement densifies one at a time
         views = [
             compress_adjacency(c_norm, a)
             for a in sample_class_graphs(
                 a_norm, P, resistance, cfg.rho, weighting=cfg.class_graph_weighting
             ).sampled
         ]
+        del a_norm, P, resistance  # no later stage reads them
 
     with _stage("refine", timings):
         result = refine(
-            Z, dataset.labels, dataset.train_mask, condensed, views,
+            Z_train, labels_train, condensed, views,
             init_head(s_refine_init), cfg, s_refine,
         )
+        del Z_train, labels_train, views
         x_before = condensed.x_prime
         condensed.x_prime = result.x_refined
         if cfg.clustgdd_x:
             condensed.a_prime = np.eye(n)
-        del Z  # no later stage reads it
 
     with _stage("evaluate", timings):
         accuracies, fid_score = evaluate_condensed(dataset, condensed, cfg)

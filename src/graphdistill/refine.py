@@ -138,12 +138,16 @@ def consistency_loss(view_probs: list[np.ndarray]) -> float:
     return total / (n * K)
 
 
+def _dense(adj: sp.csr_matrix | np.ndarray) -> np.ndarray:
+    return adj.toarray() if sp.issparse(adj) else adj
+
+
 def refine_loss_and_grads(
     Z: np.ndarray,
     labels: np.ndarray,
     y_prime: np.ndarray,
     x_prime: np.ndarray,
-    cond_adjs: list[np.ndarray],
+    cond_adjs: list[sp.csr_matrix | np.ndarray],
     delta: np.ndarray,
     params: ClassifierParams,
     beta: float,
@@ -157,7 +161,10 @@ def refine_loss_and_grads(
 
     Every row of Z is a training row, labeled by labels, and L_org scores
     them all. x_prime stays the fourth argument, after y_prime, because
-    perfbench's tracer reads the class views' row count there. Every head
+    perfbench's tracer reads the class views' row count there. A class view
+    in CSR form is densified for each product that reads it, once in the
+    forward loop and once in the backward loop, so at most one dense n x n
+    view is held at a time; the products are dense either way. Every head
     forward drops hidden units at params.dropout_rate, drawn from rng.
     Gradients accumulate over class views in class-index order. The
     Delta gradient rides back through the fixed propagation operator
@@ -190,11 +197,11 @@ def refine_loss_and_grads(
     views: list[tuple] = []  # (d-wide layer-0 input or None, layer-0 output, cache)
     for adj in cond_adjs:
         if projected is None:
-            smoothed = propagate_dense(adj, base, alpha, T_prime)
+            smoothed = propagate_dense(_dense(adj), base, alpha, T_prime)
             s = smoothed @ W0
         else:
             smoothed = None
-            s = propagate_dense(adj, projected, alpha, T_prime)
+            s = propagate_dense(_dense(adj), projected, alpha, T_prime)
         s += b0
         if params.depth > 1:
             model.relu_dropout(s, p, rng)
@@ -223,9 +230,9 @@ def refine_loss_and_grads(
         d_b[0] += g.sum(axis=0)
         if pulled is None:
             d_w[0] += smoothed.T @ g
-            d_delta += beta * propagate_dense(adj, g @ W0.T, alpha, T_prime)
+            d_delta += beta * propagate_dense(_dense(adj), g @ W0.T, alpha, T_prime)
         else:
-            pulled += propagate_dense(adj, g, alpha, T_prime)
+            pulled += propagate_dense(_dense(adj), g, alpha, T_prime)
     if pulled is not None:
         d_w[0] += base.T @ pulled
         d_delta += beta * (pulled @ W0.T)
@@ -237,31 +244,29 @@ def refine_loss_and_grads(
 def refine(
     Z: np.ndarray,
     labels: np.ndarray,
-    train_mask: np.ndarray,
     condensed: CondensedGraph,
-    views: list[np.ndarray],
+    views: list[sp.csr_matrix | np.ndarray],
     params_init: ClassifierParams,
     cfg: PipelineConfig,
     seed: int,
 ) -> RefineResult:
     """Descend the joint objective over (Delta, W') for cfg.E3 steps.
 
-    views holds one condensed class adjacency per class. cfg supplies
-    beta, gamma, lambda_, T_prime and Adam's learning rate lr; the
-    class views propagate with alpha_prime, or with the propagation alpha
-    when alpha_prime is negative. seed seeds the dropout stream.
+    Z holds the training rows of the propagated features and labels their
+    classes, so the full-graph term forwards the head (and draws its
+    dropout masks) over the training rows alone. views holds one condensed
+    class adjacency per class, in CSR form or dense; both give the same
+    bytes. cfg supplies beta, gamma, lambda_, T_prime and Adam's learning
+    rate lr; the class views propagate with alpha_prime, or with the
+    propagation alpha when alpha_prime is negative. seed seeds the dropout
+    stream.
 
-    Of Z and labels only the train_mask rows are read: they are sliced out
-    once, so the full-graph term forwards the head (and draws its dropout
-    masks) over the training rows alone. Delta starts at zero, so zero
-    epochs returns X' unchanged. The head is reinitialized by the caller,
-    not reused from pretraining. Raises DivergedError on a non-finite loss.
+    Delta starts at zero, so zero epochs returns X' unchanged. The head is
+    reinitialized by the caller, not reused from pretraining. Raises
+    DivergedError on a non-finite loss.
     """
     if not views:
         raise ValueError("refine needs the condensed adjacencies of the class views")
-    train_idx = np.flatnonzero(np.asarray(train_mask, dtype=bool))
-    Z_train = np.asarray(Z, dtype=np.float64)[train_idx]
-    labels_train = np.asarray(labels)[train_idx]
     alpha = cfg.alpha if cfg.alpha_prime < 0 else cfg.alpha_prime
     params = params_init.copy()
     delta = np.zeros(condensed.x_prime.shape)
@@ -271,8 +276,8 @@ def refine(
     losses: list[float] = []
     for epoch in range(cfg.E3):
         loss, _, d_delta, d_w, d_b = refine_loss_and_grads(
-            Z_train,
-            labels_train,
+            Z,
+            labels,
             condensed.y_prime,
             condensed.x_prime,
             views,

@@ -372,12 +372,27 @@ CORRUPTIONS = {
     "wrong-row-width": ("edges.tsv", "features.csv"),
     "out-of-range-label": ("labels.txt",),
     "unknown-mask-token": ("masks.txt",),
+    "out-of-range-id": ("edges.tsv",),
+    "self-loop": ("edges.tsv",),
+    "duplicate-edge": ("edges.tsv",),
 }
 
+# The node count of the corrupted datasets.
+CORRUPTED_NODES = 12
 
-def _corrupt(line, kind, sep, field, word, label):
-    """line with the corruption kind applied; sep is its file's field separator."""
+
+def _corrupt(lines, row, kind, sep, field, word, label):
+    """lines[row] with the corruption kind applied; sep is its file's field separator."""
+    line = lines[row]
     fields = line.split(sep) if sep else [line]
+    if kind == "out-of-range-id":
+        fields[field % 2] = str(label + CORRUPTED_NODES if label > 0 else label)
+        return sep.join(fields)
+    if kind == "self-loop":
+        return sep.join([fields[field % 2]] * 2)
+    if kind == "duplicate-edge":
+        # the previous line's edge in the other orientation
+        return sep.join(reversed(lines[row - 1].split(sep)))
     if kind == "truncated-line":
         return sep.join(fields[:-1]) if sep else ""
     if kind == "non-numeric-token":
@@ -412,13 +427,17 @@ def test_corrupted_dataset_exits_with_one_line_naming_the_file(
     # a load writes features.cache.npz beside the features, so every example
     # starts from a fresh directory
     shutil.rmtree(data_dir, ignore_errors=True)
-    spec = SbmSpec(num_nodes=12, num_classes=3, intra_prob=0.6, inter_prob=0.1, feature_dim=3)
+    spec = SbmSpec(
+        num_nodes=CORRUPTED_NODES, num_classes=3, intra_prob=0.6, inter_prob=0.1,
+        feature_dim=3,
+    )
     save_dataset(generate_sbm(spec), data_dir)
     save_condensed(CondensedGraph(np.zeros((3, 3)), np.eye(3), np.eye(3)), cond_dir)
     path = data_dir / name
     lines = path.read_text().splitlines()
-    row %= len(lines)
-    lines[row] = _corrupt(lines[row], kind, SEPARATORS[name], field, word, label)
+    # a duplicate repeats the line before it, so it needs a line 2 or later
+    row = row % (len(lines) - 1) + 1 if kind == "duplicate-edge" else row % len(lines)
+    lines[row] = _corrupt(lines, row, kind, SEPARATORS[name], field, word, label)
     path.write_text("\n".join(lines) + "\n")
 
     rc = main(["evaluate", "--dataset-dir", str(data_dir), "--condensed-dir", str(cond_dir)])

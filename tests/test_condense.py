@@ -28,7 +28,7 @@ def test_identity_clustering_is_passthrough():
     Z = rng.standard_normal((12, 5))
     clustering = _identity_clustering(12)
     assert np.array_equal(cluster_means(clustering, Z), Z)
-    a_prime = compress_adjacency(sketching_matrix(clustering), a_norm.to_scipy())
+    a_prime = compress_adjacency(sketching_matrix(clustering), a_norm.to_scipy()).toarray()
     assert np.max(np.abs(a_prime - a_norm.to_scipy().toarray())) <= 1e-12
 
 
@@ -43,7 +43,7 @@ def test_adjacency_matches_dense_triple_product():
         clustering.assignment
     ]
     ref = c.T @ a_norm.to_scipy().toarray() @ c
-    got = compress_adjacency(sketching_matrix(clustering), a_norm.to_scipy())
+    got = compress_adjacency(sketching_matrix(clustering), a_norm.to_scipy()).toarray()
     assert np.max(np.abs(got - ref)) <= 1e-12
     assert np.array_equal(got, got.T)
 

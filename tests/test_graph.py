@@ -3,6 +3,7 @@ import pytest
 
 from graphdistill.graph import (
     Dataset,
+    EdgeListError,
     GraphError,
     SparseGraph,
     homophily_ratio,
@@ -35,6 +36,19 @@ def test_from_edges_rejects_bad_input():
         SparseGraph.from_edges(3, [(0, 3)])
     with pytest.raises(GraphError):
         SparseGraph.from_edges(3, [(0, 1), (1, 0)])
+    # each refusal names the list index of the first entry at fault
+    cases = [
+        ([(0, 1), (2, 2), (1, 1)], "self loops", 1),
+        ([(0, 1), (0, 3), (-1, 2)], "out of range", 1),
+        ([(1, 2), (-1, 2)], "out of range", 1),
+        # the first entry that repeats an earlier one, in either orientation
+        ([(0, 1), (1, 2), (0, 2), (2, 1), (1, 0), (0, 1)], "duplicate", 3),
+        ([(0, 1), (1, 0), (0, 1), (1, 0)], "duplicate", 1),
+    ]
+    for edges, message, index in cases:
+        with pytest.raises(EdgeListError, match=message) as info:
+            SparseGraph.from_edges(3, edges)
+        assert info.value.edge == index
 
 
 def test_dataset_refuses_non_finite_features():

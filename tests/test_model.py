@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphdistill.model import (
+    ADAM_CHUNK,
     ROW_BLOCK,
     AdamState,
     DivergedError,
@@ -248,8 +249,19 @@ def test_adam_path_runs_and_is_deterministic():
 
 
 def test_adam_step_matches_reference_formula():
+    # the step runs in chunks of ADAM_CHUNK elements; every operation is
+    # elementwise, so each size keeps the bytes of the whole-array formula
+    for shapes in (
+        [(7, 5), (5,), (5, 3), (3,)],
+        # one element, and one chunk less one, exactly one and one plus one
+        [(1,), (ADAM_CHUNK - 1,), (ADAM_CHUNK,), (ADAM_CHUNK + 1,)],
+        [(1433, 256), (256,)],
+    ):
+        _check_adam_against_reference_formula(shapes)
+
+
+def _check_adam_against_reference_formula(shapes):
     rng = np.random.default_rng(10)
-    shapes = [(7, 5), (5,), (5, 3), (3,)]
     tensors = [rng.standard_normal(s) for s in shapes]
     ref = [t.copy() for t in tensors]
     ref_m = [np.zeros(s) for s in shapes]
@@ -269,6 +281,12 @@ def test_adam_step_matches_reference_formula():
             assert np.array_equal(tensors[i], ref[i])
             assert np.array_equal(adam.m[i], ref_m[i])
             assert np.array_equal(adam.v[i], ref_v[i])
+
+
+def test_adam_refuses_a_tensor_it_cannot_move_in_place():
+    # a strided view would be copied by the flattening, and the update lost
+    with pytest.raises(ValueError, match="C-contiguous"):
+        AdamState([np.zeros((4, 6))[:, ::2]])
 
 
 def test_training_reads_only_masked_rows():

@@ -616,8 +616,33 @@ def test_run_pipeline_frees_sampled_graphs_and_z_after_their_last_reader(monkeyp
     )
     run_pipeline(_small_sbm(0), _fast_config())
     assert len(made["sampled"]) == 3
-    assert seen["refine"] == {"sampled": 0, "Z": True}
+    # refinement is handed Z's training rows, sliced out in the condense stage
+    assert seen["refine"] == {"sampled": 0, "Z": False}
     assert seen["evaluate"] == {"sampled": 0, "Z": False}
+
+
+def test_csr_class_views_give_the_bytes_of_dense_views(monkeypatch):
+    # run_pipeline keeps the class views in CSR form; a distill that hands
+    # refine the same views densified writes the same bytes
+    views_seen = []
+    refine = pipeline.refine
+
+    def dense_views(Z, labels, condensed, views, *args, **kwargs):
+        views_seen.extend(views)
+        return refine(Z, labels, condensed, [v.toarray() for v in views], *args, **kwargs)
+
+    for cfg in (_fast_config(), _fast_config(hidden=4)):  # d = 8 wider than W0
+        csr = run_pipeline(_small_sbm(0), cfg)
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "refine", dense_views)
+            dense = run_pipeline(_small_sbm(0), cfg)
+        assert views_seen and all(v.format == "csr" for v in views_seen)
+        views_seen.clear()
+        for name in ("x_prime", "a_prime", "y_prime"):
+            got, want = getattr(csr.condensed, name), getattr(dense.condensed, name)
+            assert got.tobytes() == want.tobytes(), name
+        assert csr.accuracies == dense.accuracies
+        assert csr.metrics == dense.metrics
 
 
 def test_run_pipeline_builds_the_sketching_matrix_once(monkeypatch):

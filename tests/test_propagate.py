@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from graphdistill.graph import SparseGraph, normalized_adjacency
-from graphdistill.propagate import gls_propagate, propagate_dense
+from graphdistill.propagate import PROPAGATE_COLUMNS, gls_propagate, propagate_dense
 
 from conftest import random_graph
 from oracles import gls_objective, gls_solve_exact
@@ -94,3 +95,19 @@ def test_propagate_determinism(rng):
     z1 = gls_propagate(a, x, 0.5, 10)
     z2 = gls_propagate(a, x, 0.5, 10)
     assert np.array_equal(z1, z2)
+
+
+@pytest.mark.parametrize(
+    "d", [1, PROPAGATE_COLUMNS - 1, PROPAGATE_COLUMNS, PROPAGATE_COLUMNS + 1,
+          3 * PROPAGATE_COLUMNS + 5],
+)
+def test_column_blocked_propagation_matches_one_whole_matrix_call(d):
+    # gls_propagate runs the series over column blocks of X; each column of
+    # a sparse product sums in the same order whatever the block width, so
+    # the result keeps the bytes of one propagate_dense over all of X
+    rng = np.random.default_rng(d)
+    g = random_graph(rng, 60, 0.1, min_degree=1)
+    a = normalized_adjacency(g)
+    x = rng.standard_normal((60, d))
+    whole = propagate_dense(a.to_scipy(), x, 0.8, 5)
+    assert np.array_equal(gls_propagate(a, x, 0.8, 5), whole)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +9,8 @@ from graphdistill.cluster import kmeans, sketching_matrix
 from graphdistill.condense import CondensedGraph, compress_adjacency
 from graphdistill.graph import GraphError, SparseGraph, normalize_rows
 from graphdistill.model import init_classifier
-from graphdistill.pipeline import PipelineConfig
+from graphdistill import pipeline
+from graphdistill.pipeline import PipelineConfig, SbmSpec, generate_sbm
 from graphdistill.propagate import propagate_dense
 from graphdistill.refine import (
     COS_FLOOR,
@@ -197,7 +200,7 @@ def test_condensed_class_views_dense_oracle():
         1.0 / clustering.sizes[clustering.assignment]
     )
     for sampled in sample_class_graphs(a_norm, P, res, rho=0.6).sampled:
-        condensed = compress_adjacency(c_norm, sampled)
+        condensed = compress_adjacency(c_norm, sampled).toarray()
         ref = c.T @ sampled.toarray() @ c
         assert np.max(np.abs(condensed - ref)) <= 1e-12
         assert np.array_equal(condensed, condensed.T)
@@ -432,53 +435,82 @@ def test_views_propagate_the_narrower_operand(monkeypatch, depth, d):
     assert widths == [min(d, width)] * (2 * len(inst[4]))
 
 
+def test_csr_views_hold_one_dense_view_at_a_time():
+    # each CSR view is densified only for the product that reads it, so
+    # the loss and its gradients over K = 8 views of n = 600 nodes hold less
+    # than two dense n x n views at any time
+    rng = np.random.default_rng(3)
+    n, d, K = 600, 8, 8
+    views = []
+    for _ in range(K):
+        m = sp.random(n, n, density=0.005, random_state=rng, format="csr")
+        views.append((0.5 * (m + m.T)).tocsr())
+    y_prime = np.eye(K)[rng.integers(0, K, size=n)]
+    x_prime = rng.standard_normal((n, d))
+    delta = 0.1 * rng.standard_normal((n, d))
+    Z = rng.standard_normal((40, d))
+    labels = rng.integers(0, K, size=40)
+    params = init_classifier(rng, d, K, depth=2, hidden_dim=16, dropout_rate=0.5)
+    tracemalloc.start()
+    try:
+        refine_loss_and_grads(
+            Z, labels, y_prime, x_prime, views, delta, params,
+            0.05, 0.6, 2, 1.7, 0.3, np.random.default_rng(0),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * n * 8
+
+
 def _refine_inputs(seed=10):
+    """The training rows of Z and their labels, then refine's other inputs."""
     Z, labels, mask, x_prime, y_prime, adjs, params, _ = _instance(seed)
     condensed = CondensedGraph(x_prime, np.zeros((4, 4)), y_prime)
-    return Z, labels, mask, condensed, adjs, params
+    return Z[mask], labels[mask], condensed, adjs, params
 
 
 def test_refine_zero_epochs_is_identity():
-    Z, labels, mask, condensed, views, params = _refine_inputs()
+    Z, labels, condensed, views, params = _refine_inputs()
     cfg = PipelineConfig(E3=0)
-    out = refine(Z, labels, mask, condensed, views, params, cfg, 0)
+    out = refine(Z, labels, condensed, views, params, cfg, 0)
     assert np.array_equal(out.x_refined, condensed.x_prime)
     assert out.loss_trace == []
 
 
 def test_refine_without_objective_terms_keeps_attributes():
-    Z, labels, mask, condensed, views, params = _refine_inputs()
+    Z, labels, condensed, views, params = _refine_inputs()
     cfg = PipelineConfig(gamma=0.0, lambda_=0.0, E3=5)
-    out = refine(Z, labels, mask, condensed, views, params, cfg, 0)
+    out = refine(Z, labels, condensed, views, params, cfg, 0)
     assert np.array_equal(out.x_refined, condensed.x_prime)
     assert np.array_equal(out.delta, np.zeros_like(condensed.x_prime))
 
 
 def test_refine_is_deterministic_and_loss_decreases():
-    Z, labels, mask, condensed, views, params = _refine_inputs(11)
+    Z, labels, condensed, views, params = _refine_inputs(11)
     cfg = PipelineConfig(E3=40, lr=0.01)
-    a = refine(Z, labels, mask, condensed, views, params, cfg, 3)
-    b = refine(Z, labels, mask, condensed, views, params, cfg, 3)
+    a = refine(Z, labels, condensed, views, params, cfg, 3)
+    b = refine(Z, labels, condensed, views, params, cfg, 3)
     assert np.array_equal(a.x_refined, b.x_refined)
     assert a.loss_trace[-1] < a.loss_trace[0]
 
 
 def test_refine_requires_condensed_adjacencies():
-    Z, labels, mask, condensed, _, params = _refine_inputs(12)
+    Z, labels, condensed, _, params = _refine_inputs(12)
     with pytest.raises(ValueError, match="condensed adjacencies"):
-        refine(Z, labels, mask, condensed, [], params, PipelineConfig(E3=1), 0)
+        refine(Z, labels, condensed, [], params, PipelineConfig(E3=1), 0)
 
 
 def test_alpha_prime_override_changes_result():
-    Z, labels, mask, condensed, views, params = _refine_inputs(13)
+    Z, labels, condensed, views, params = _refine_inputs(13)
     base = PipelineConfig(E3=10, alpha=0.8)
     override = PipelineConfig(E3=10, alpha=0.8, alpha_prime=0.2)
-    a = refine(Z, labels, mask, condensed, views, params, base, 0)
-    b = refine(Z, labels, mask, condensed, views, params, override, 0)
+    a = refine(Z, labels, condensed, views, params, base, 0)
+    b = refine(Z, labels, condensed, views, params, override, 0)
     assert not np.array_equal(a.x_refined, b.x_refined)
     # a negative alpha_prime reuses alpha: alpha 0.2 gives the override's bytes
     reuse = PipelineConfig(E3=10, alpha=0.2, alpha_prime=-1.0)
-    c = refine(Z, labels, mask, condensed, views, params, reuse, 0)
+    c = refine(Z, labels, condensed, views, params, reuse, 0)
     assert c.x_refined.tobytes() == b.x_refined.tobytes()
     assert c.delta.tobytes() == b.delta.tobytes()
     for g, w in zip(c.params.weights + c.params.biases, b.params.weights + b.params.biases):
@@ -486,13 +518,25 @@ def test_alpha_prime_override_changes_result():
     assert c.loss_trace == b.loss_trace
 
 
-def test_refine_reads_only_training_rows():
-    Z, labels, mask, condensed, views, params = _refine_inputs(14)
-    params.dropout_rate = 0.3
-    Z[~mask] = np.nan
-    cfg = PipelineConfig(E3=10)
-    out = refine(Z, labels, mask, condensed, views, params, cfg, 1)
-    assert np.all(np.isfinite(out.loss_trace))
-    assert np.all(np.isfinite(out.x_refined))
-    for w, b in zip(out.params.weights, out.params.biases):
-        assert np.all(np.isfinite(w)) and np.all(np.isfinite(b))
+def test_refine_reads_only_training_rows(monkeypatch):
+    # run_pipeline hands refine the training rows of Z and their labels alone
+    seen = {}
+    propagate, refine_real = pipeline.gls_propagate, pipeline.refine
+
+    def propagating(*args, **kwargs):
+        seen["Z"] = propagate(*args, **kwargs)
+        return seen["Z"]
+
+    def refining(Z, labels, *args, **kwargs):
+        seen["rows"], seen["labels"] = Z, labels
+        return refine_real(Z, labels, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "gls_propagate", propagating)
+    monkeypatch.setattr(pipeline, "refine", refining)
+    ds = generate_sbm(SbmSpec(num_nodes=60, num_classes=3, intra_prob=0.3,
+                              inter_prob=0.02, feature_dim=4, seed=0))
+    cfg = PipelineConfig(E1=2, E2=5, E3=2, eval_epochs=2, eval_repeats=1,
+                         hidden=8, eval_hidden=8, num_synthetic=6)
+    pipeline.run_pipeline(ds, cfg)
+    assert seen["rows"].tobytes() == seen["Z"][ds.train_mask].tobytes()
+    assert np.array_equal(seen["labels"], ds.labels[ds.train_mask])
