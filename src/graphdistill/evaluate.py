@@ -56,11 +56,15 @@ def gcn_forward(
 ) -> np.ndarray:
     """Eval-mode GCN logits Â relu(Â X W1 + b1) W2 + b2 of a depth-2 head's (W, b).
 
-    Pass X, or ax = Â X in its place; ax is not modified. W1 runs in row blocks.
+    Pass X, or ax = Â X in its place; ax is not modified. W1 and the K-wide
+    h1 W2 run in row blocks (relu_layers), so no N x hidden_dim h1 is held.
     """
-    h1 = relu_layers(a_hat @ X if ax is None else ax, params.weights[:1], params.biases[:1])
     # Â multiplies the K-wide product, not the hidden_dim-wide h1
-    return a_hat @ (h1 @ params.weights[1]) + params.biases[1]
+    hw = relu_layers(
+        a_hat @ X if ax is None else ax, params.weights[:1], params.biases[:1],
+        last=params.weights[1],
+    )
+    return a_hat @ hw + params.biases[1]
 
 
 def _gcn_forward_cache(params, a_hat, ax, rng):
@@ -103,7 +107,11 @@ def _validation_logits(
     classes. Only rows the validation logits depend on are computed: Â·X on
     the rows that the validation rows of Â touch, once, then per call the
     first layer on those rows, in row blocks into one buffer that every call
-    reuses, and the second layer on the validation rows.
+    reuses, and the second layer on the validation rows. The K-wide h1 W2
+    is one product over the touched rows here, where gcn_forward forms it
+    in row blocks of all N rows; a narrow product's rows can depend on the
+    call's row count, so these logits equal a full-graph forward's in real
+    arithmetic and may differ from them in the last bits.
     """
     val_idx = np.flatnonzero(dataset.val_mask)
     if val_idx.size == 0:
@@ -137,8 +145,9 @@ def train_eval_gcn(
     model_selection "best_val" tracks validation accuracy on the original dataset and keeps
     the best epoch; "final" returns the last epoch. "best_val" needs
     validation, the (logits, labels) pair that _validation_logits returns,
-    which scores only the validation rows and gives the same logits as a
-    full-graph forward.
+    which scores only the validation rows and gives the logits of a
+    full-graph forward up to the rounding of the K-wide product (see
+    _validation_logits).
     """
     if cfg.model_selection == "best_val":
         if validation is None:

@@ -63,7 +63,8 @@ def init_classifier(
     return ClassifierParams(weights, biases, dropout_rate)
 
 
-# Rows per block of the row-blocked eval-mode layers and of dropout draws.
+# Rows per block of the eval-mode layers, of the head's training step
+# (head_loss_and_grads) and of dropout draws.
 # A 256 x 256 float64 block is 512 KiB, so one block's activations stay in
 # L2 from one layer to the next.
 ROW_BLOCK = 256
@@ -85,26 +86,32 @@ def relu_layers(
     weights: list[np.ndarray],
     biases: list[np.ndarray],
     out: np.ndarray | None = None,
+    last: np.ndarray | None = None,
 ) -> np.ndarray:
-    """relu(h W + b) through each (W, b) in turn, ROW_BLOCK rows at a time.
+    """relu(h W + b) through each (W, b), then h @ last if given, in row blocks.
 
     Each block of rows (see row_blocks) runs through every layer before the
-    next block starts, and its last layer is written into out (allocated
-    when None). The bytes equal those of whole-matrix products as long as a
-    row's GEMM result does not depend on how many rows the call holds. The
+    next block starts, and its last product is written into out (allocated
+    when None), so only one block of each hidden layer is ever held. The
+    blocks are fixed by the row count alone, so the bytes are too; they
+    equal those of whole-matrix products only where a row's GEMM result
+    does not depend on how many rows the call holds, which held for the
+    hidden-wide layers but not for every narrow last product. The
     rectifier multiplies by the mask, as the training path does, so a
     negative pre-activation gives -0.0.
     """
     rows = h.shape[0]
     if out is None:
-        out = np.empty((rows, weights[-1].shape[1]))
+        out = np.empty((rows, (weights[-1] if last is None else last).shape[1]))
     for lo, hi in row_blocks(rows, ROW_BLOCK):
         x = h[lo:hi]
         for layer, (W, b) in enumerate(zip(weights, biases)):
-            o = out[lo:hi] if layer == len(weights) - 1 else None
+            o = out[lo:hi] if last is None and layer == len(weights) - 1 else None
             x = np.matmul(x, W, out=o)
             x += b
             np.multiply(x, x > 0.0, out=x)
+        if last is not None:
+            np.matmul(x, last, out=out[lo:hi])
     return out
 
 
@@ -170,11 +177,11 @@ def forward_cache(
 
 
 def forward(params: ClassifierParams, Z: np.ndarray) -> np.ndarray:
-    """Eval-mode logits of the head; the hidden layers run in row blocks."""
+    """Eval-mode logits of the head; every layer runs in row blocks (relu_layers)."""
     h = np.asarray(Z, dtype=np.float64)
-    if params.depth > 1:
-        h = relu_layers(h, params.weights[:-1], params.biases[:-1])
-    return h @ params.weights[-1] + params.biases[-1]
+    logits = relu_layers(h, params.weights[:-1], params.biases[:-1], last=params.weights[-1])
+    logits += params.biases[-1]
+    return logits
 
 
 def backward(
@@ -219,23 +226,58 @@ def softmax_vjp(P: np.ndarray, dP: np.ndarray) -> np.ndarray:
 
 
 def softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray
+    logits: np.ndarray, labels: np.ndarray, denominator: int | None = None
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """(P, loss, dlogits): softmax, mean cross-entropy and its logit gradient.
 
     Every row is scored: P is softmax_predict(logits), the loss is
-    -mean(log(max(P[row, label], 1e-12))) and dlogits is
-    (P - onehot(labels)) / rows.
+    -sum(log(max(P[row, label], 1e-12))) / denominator and dlogits is
+    (P - onehot(labels)) / denominator. The denominator defaults to the row
+    count, which gives the mean; a row block of a larger batch passes the
+    batch's row count, so that its terms add up to the batch's mean.
     """
     rows = logits.shape[0]
     if rows == 0:
         raise ValueError("empty mask")
+    denominator = rows if denominator is None else denominator
     P = softmax_predict(logits)
     picked = P[np.arange(rows), labels]
-    loss = float(-np.mean(np.log(np.clip(picked, 1e-12, None))))
+    loss = float(-np.sum(np.log(np.clip(picked, 1e-12, None))) / denominator)
     onehot = np.zeros_like(P)
     onehot[np.arange(rows), labels] = 1.0
-    return P, loss, (P - onehot) / rows
+    return P, loss, (P - onehot) / denominator
+
+
+def head_loss_and_grads(
+    params: ClassifierParams,
+    Z: np.ndarray,
+    labels: np.ndarray,
+    rng: np.random.Generator | None = None,
+) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """(loss, weight grads, bias grads) of the mean cross-entropy over Z's rows.
+
+    The rows run ROW_BLOCK at a time (see row_blocks): each block goes
+    through forward_cache, softmax_cross_entropy over all R rows and
+    backward, so only one block of each hidden layer and of its gradient
+    is ever held. Hidden units drop at params.dropout_rate, drawn from rng
+    block by block, every layer of a block before the next block. The
+    first block's loss and gradients start the sums and each later block
+    adds into them, so a call of one block is that block's step alone. The
+    gradient at layer 0's pre-activation is dropped with each block.
+    """
+    Z = np.asarray(Z, dtype=np.float64)
+    rows = Z.shape[0]
+    for lo, hi in row_blocks(rows, ROW_BLOCK):
+        logits, cache = forward_cache(params, Z[lo:hi], rng)
+        _, block_loss, dlogits = softmax_cross_entropy(logits, labels[lo:hi], rows)
+        d_w_block, d_b_block = backward(params, cache, dlogits)[1:]
+        if lo == 0:
+            loss, d_w, d_b = block_loss, d_w_block, d_b_block
+            continue
+        loss += block_loss
+        for total, part in zip(d_w + d_b, d_w_block + d_b_block):
+            total += part
+    return loss, d_w, d_b
 
 
 def _l2_penalty(params: ClassifierParams, weight_decay: float) -> float:
@@ -311,9 +353,10 @@ def train_classifier(
 
     cfg supplies the epoch count E1, the Adam learning rate lr and
     weight_decay; seed seeds the dropout stream. Only the masked rows
-    are read: they are sliced out once, and each epoch forwards and
-    backpropagates all of them, so dropout masks are drawn over those rows
-    alone. The loss is mean cross-entropy over the masked rows plus
+    are read: they are sliced out once, and each epoch runs all of them
+    through head_loss_and_grads, ROW_BLOCK rows at a time, so dropout masks
+    are drawn over those rows alone, in block order, and no epoch holds an
+    R x hidden array. The loss is mean cross-entropy over the masked rows plus
     0.5 * weight_decay * ||W||^2 over weight matrices. Deterministic for a
     fixed seed.
 
@@ -336,16 +379,12 @@ def train_classifier(
 
     losses: list[float] = []
     for epoch in range(cfg.E1):
-        logits, cache = forward_cache(params, Z_train, rng)
-        _, loss, dlogits = softmax_cross_entropy(logits, labels_train)
+        loss, d_w, d_b = head_loss_and_grads(params, Z_train, labels_train, rng)
         loss += _l2_penalty(params, cfg.weight_decay)
         if not np.isfinite(loss):
             raise DivergedError(epoch)
         losses.append(loss)
-
-        # dS0 is R x hidden and unused: drop it now, not at the next epoch's end
-        d_w, d_b = backward(params, cache, dlogits)[1:]
         for i in range(params.depth):
-            d_w[i] = d_w[i] + cfg.weight_decay * params.weights[i]
+            d_w[i] += cfg.weight_decay * params.weights[i]
         step(d_w + d_b, cfg.lr)
     return params, losses

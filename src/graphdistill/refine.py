@@ -160,13 +160,15 @@ def refine_loss_and_grads(
     """Joint loss and analytic gradients with respect to Delta and the head.
 
     Every row of Z is a training row, labeled by labels, and L_org scores
-    them all. x_prime stays the fourth argument, after y_prime, because
-    perfbench's tracer reads the class views' row count there. A class view
-    in CSR form is densified for each product that reads it, once in the
-    forward loop and once in the backward loop, so at most one dense n x n
-    view is held at a time; the products are dense either way. Every head
-    forward drops hidden units at params.dropout_rate, drawn from rng.
-    Gradients accumulate over class views in class-index order. The
+    them all through model.head_loss_and_grads, ROW_BLOCK rows at a time,
+    so the term never holds a rows x hidden array. x_prime stays the fourth
+    argument, after y_prime, because perfbench's tracer reads the class
+    views' row count there. A class view in CSR form is densified for each
+    product that reads it, once in the forward loop and once in the
+    backward loop, so at most one dense n x n view is held at a time; the
+    products are dense either way. Every head forward drops hidden units at
+    params.dropout_rate, drawn from rng: L_org's blocks first, in block
+    order, then the class views. Gradients accumulate over class views in class-index order. The
     Delta gradient rides back through the fixed propagation operator
     P_y = sum_t c_t A'(y)^t, which is its own adjoint because each A'(y) is
     symmetric.
@@ -182,10 +184,7 @@ def refine_loss_and_grads(
     """
     n, num_classes = y_prime.shape
 
-    logits_org, cache_org = model.forward_cache(params, Z, rng)
-    _, l_org, dlogits_org = model.softmax_cross_entropy(logits_org, labels)
-    # dS0 is rows x hidden and unused, so it is not kept through the class views
-    d_w, d_b = model.backward(params, cache_org, dlogits_org)[1:]
+    l_org, d_w, d_b = model.head_loss_and_grads(params, Z, labels, rng)
 
     base = x_prime + beta * delta
     W0, b0 = params.weights[0], params.biases[0]

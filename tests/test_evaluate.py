@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,13 @@ from graphdistill.evaluate import (
 )
 from graphdistill.graph import Dataset, SparseGraph
 from graphdistill.model import (
+    ROW_BLOCK,
     AdamState,
     ClassifierParams,
     DivergedError,
     init_classifier,
+    relu_layers,
+    row_blocks,
     softmax_predict,
 )
 from graphdistill.pipeline import PipelineConfig
@@ -472,11 +477,33 @@ def test_gcn_gate_matches_mask_and_scale_reference_bitwise(dropout):
 
 
 def test_row_blocked_gcn_forward_matches_whole_matrix_reference_bitwise():
-    params, graph, x = _gcn_with_zeros(61, 1000)
+    # h1 is whole-matrix bytes; the K-wide h1 W2 is formed in the same row
+    # blocks as gcn_forward's, because a narrow product's rows can depend on
+    # the call's row count
+    N = 1000
+    params, graph, x = _gcn_with_zeros(61, N)
     dense = graph.to_scipy().toarray()
     for a_hat in (renormalized_adjacency(graph), renormalized_adjacency(dense)):
-        want = _gcn_cache_reference(params, a_hat, x)[0]
+        ax, _, _, h1 = _gcn_cache_reference(params, a_hat, x)[1]
+        hidden = relu_layers(ax, params.weights[:1], params.biases[:1])
+        assert hidden.tobytes() == h1.tobytes()
+        hw = np.vstack([h1[lo:hi] @ params.weights[1] for lo, hi in row_blocks(N, ROW_BLOCK)])
+        want = a_hat @ hw + params.biases[1]
         assert gcn_forward(params, a_hat, x).tobytes() == want.tobytes()
+
+
+def test_gcn_forward_holds_less_than_one_hidden_activation():
+    # h1 and the K-wide h1 W2 are formed ROW_BLOCK rows at a time
+    N, hidden = 8192, 256
+    params, graph, x = _gcn_with_zeros(64, N, d=16, hidden=hidden)
+    a_hat = renormalized_adjacency(graph)
+    tracemalloc.start()
+    try:
+        gcn_forward(params, a_hat, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < N * hidden * 8
 
 
 def test_validation_logits_match_whole_matrix_reference_bitwise():

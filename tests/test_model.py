@@ -11,8 +11,10 @@ from graphdistill.model import (
     backward,
     forward,
     forward_cache,
+    head_loss_and_grads,
     init_classifier,
     relu_layers,
+    row_blocks,
     softmax_cross_entropy,
     softmax_predict,
     train_classifier,
@@ -397,13 +399,17 @@ def test_gated_layers_match_mask_and_scale_reference_bitwise(depth, dropout):
 @pytest.mark.parametrize("rows", [1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 1000])
 @pytest.mark.parametrize("depth", [2, 3])
 def test_row_blocked_eval_forward_matches_whole_matrix_reference_bitwise(rows, depth):
-    # relies on a row's GEMM result not depending on the call's row count
+    # the hidden layers rely on a row's GEMM result not depending on the
+    # call's row count; a K-wide product's rows can, so the reference forms
+    # the last layer in the same row blocks
     params, z = _head_with_zeros(20 + depth, rows, depth)
-    got = forward(params, z)
-    want = _forward_cache_reference(params, z)[0]
-    assert got.tobytes() == want.tobytes()
-    hidden = relu_layers(z, params.weights[:-1], params.biases[:-1])
     want_hidden = _forward_cache_reference(params, z)[1]["inputs"][-1]
+    want = np.vstack([
+        want_hidden[lo:hi] @ params.weights[-1] + params.biases[-1]
+        for lo, hi in row_blocks(rows, ROW_BLOCK)
+    ])
+    assert forward(params, z).tobytes() == want.tobytes()
+    hidden = relu_layers(z, params.weights[:-1], params.biases[:-1])
     assert hidden.tobytes() == want_hidden.tobytes()
     # a negative pre-activation leaves -0.0, as the mask multiply does
     assert np.signbit(hidden).any()
@@ -446,3 +452,101 @@ def test_training_drops_the_layer_zero_gradient_at_once():
     finally:
         tracemalloc.stop()
     assert peak < 3 * rows * hidden * 8
+
+
+# two row blocks, the last holding the leftover rows
+BLOCKED_ROWS = 2 * ROW_BLOCK + 37
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_head_step_matches_finite_differences(depth):
+    # instances with a pre-activation near the rectifier kink are redrawn
+    seed = 200 + 10 * depth
+    while True:
+        seed += 1
+        rng = np.random.default_rng(seed)
+        params = init_classifier(rng, 5, 3, depth=depth, hidden_dim=6)
+        z = rng.standard_normal((BLOCKED_ROWS, 5))
+        labels = rng.integers(0, 3, size=BLOCKED_ROWS)
+        if _kink_margin(params, z) >= 1e-4:
+            break
+    loss, d_w, d_b = head_loss_and_grads(params, z, labels)
+    mask = np.ones(BLOCKED_ROWS, dtype=bool)
+    loss_fn = lambda: _loss(params, z, labels, mask)
+    assert loss == pytest.approx(loss_fn(), rel=1e-12)
+    for i in range(depth):
+        assert _rel_err(_fd_grad(loss_fn, params.weights[i]), d_w[i]) <= 1e-4
+        assert _rel_err(_fd_grad(loss_fn, params.biases[i]), d_b[i]) <= 1e-4
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_head_step_without_dropout_matches_whole_matrix_step(depth):
+    params, z = _head_with_zeros(30 + depth, BLOCKED_ROWS, depth, dropout=0.0)
+    labels = np.random.default_rng(31).integers(0, 4, size=BLOCKED_ROWS)
+    loss, d_w, d_b = head_loss_and_grads(params, z, labels)
+    logits, cache = forward_cache(params, z)
+    _, want_loss, dlogits = softmax_cross_entropy(logits, labels)
+    _, want_w, want_b = backward(params, cache, dlogits)
+    assert _rel_err(loss, want_loss) <= 1e-12
+    for got, want in zip(d_w + d_b, want_w + want_b):
+        assert _rel_err(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_head_step_draws_dropout_block_by_block_bitwise(depth):
+    params, z = _head_with_zeros(40 + depth, BLOCKED_ROWS, depth, hidden=64, dropout=0.5)
+    labels = np.random.default_rng(41).integers(0, 4, size=BLOCKED_ROWS)
+    rng_got, rng_want = np.random.default_rng(5), np.random.default_rng(5)
+    loss, d_w, d_b = head_loss_and_grads(params, z, labels, rng_got)
+    # every layer of a block draws its mask before the next block starts;
+    # the gradients are summed in block order, the first block's starting
+    # the sums, and each block divides by the total row count
+    want_loss, want_w, want_b = 0.0, None, None
+    for lo, hi in row_blocks(BLOCKED_ROWS, ROW_BLOCK):
+        logits, cache = _forward_cache_reference(params, z[lo:hi], rng_want)
+        P = softmax_predict(logits)
+        picked = np.clip(P[np.arange(hi - lo), labels[lo:hi]], 1e-12, None)
+        block_loss = float(-np.sum(np.log(picked)) / BLOCKED_ROWS)
+        onehot = np.eye(4)[labels[lo:hi]]
+        _, w, b = _backward_reference(params, cache, (P - onehot) / BLOCKED_ROWS)
+        if want_w is None:
+            want_loss, want_w, want_b = block_loss, w, b
+        else:
+            want_loss += block_loss
+            want_w = [a + c for a, c in zip(want_w, w)]
+            want_b = [a + c for a, c in zip(want_b, b)]
+    assert _same_bytes(loss, want_loss)
+    for got, want in zip(d_w + d_b, want_w + want_b):
+        assert got.tobytes() == want.tobytes()
+    assert rng_got.random() == rng_want.random()
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_holds_less_than_one_hidden_activation():
+    # the head runs ROW_BLOCK rows at a time, so an epoch holds blocks of its
+    # hidden layers and their gradients, never an R x hidden array
+    rows, hidden = 8192, 256
+    rng = np.random.default_rng(10)
+    z = rng.standard_normal((rows, 16))
+    labels = rng.integers(0, 4, size=rows)
+    mask = np.ones(rows, dtype=bool)
+    params = init_classifier(rng, 16, 4, depth=3, hidden_dim=hidden, dropout_rate=0.5)
+    cfg = PipelineConfig(E1=2, lr=0.01)
+    peak = _traced_peak(lambda: train_classifier(z, labels, mask, params, cfg, 1))
+    assert peak < rows * hidden * 8
+
+
+def test_eval_forward_holds_less_than_one_hidden_activation():
+    rows, hidden = 8192, 256
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((rows, 16))
+    params = init_classifier(rng, 16, 4, depth=3, hidden_dim=hidden)
+    assert _traced_peak(lambda: forward(params, z)) < rows * hidden * 8
