@@ -1,16 +1,15 @@
 """One distill of a large block model at cut epochs, to measure scale.
 
-The default shape is OGB arXiv's (169000 nodes, 40 classes, 128 features,
+The shape is OGB arXiv's (169000 nodes, 40 classes, 128 features,
 homophily about 0.65). Prints one JSON object in the shape of a
 BENCH_*.json run: each stage's seconds and the RSS high-water mark after
 it, the k-means++ seconds, the class views' density and one refinement
-epoch's seconds. Run from a checkout's root; its src/ is used. The default
-shape peaks near 2 GB, so cap the address space (ulimit -v) on a shared host:
+epoch's seconds. Run from a checkout's root; its src/ is used. The run
+peaks near 2 GB, so cap the address space (ulimit -v) on a shared host:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/scale_probe.py > probe.json
 """
 
-import argparse
 import contextlib
 import json
 import resource
@@ -21,6 +20,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from graphdistill import cluster, pipeline, refine  # noqa: E402
+
+NODES, CLASSES, DIM, P, Q, SEED = 169000, 40, 128, 2.18e-3, 3.0e-5, 1
 
 
 def rss_mb() -> float:
@@ -41,11 +42,6 @@ def timed(owner, name: str, calls: list) -> None:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    for flag, default in [("nodes", 169000), ("classes", 40), ("dim", 128),
-                          ("p", 2.18e-3), ("q", 3.0e-5), ("seed", 1)]:
-        ap.add_argument(f"--{flag}", type=type(default), default=default)
-    a = ap.parse_args()
     stage_rss, seeding, epochs = {}, [], []
     stage = pipeline._stage
 
@@ -60,8 +56,8 @@ def main() -> None:
     timed(refine, "refine_loss_and_grads", epochs)
     start = time.perf_counter()
     dataset = pipeline.generate_sbm(pipeline.SbmSpec(
-        num_nodes=a.nodes, num_classes=a.classes, intra_prob=a.p,
-        inter_prob=a.q, feature_dim=a.dim, seed=a.seed,
+        num_nodes=NODES, num_classes=CLASSES, intra_prob=P,
+        inter_prob=Q, feature_dim=DIM, seed=SEED,
     ))
     m = {"setup_s": (time.perf_counter() - start, "s"), "setup_rss_mb": (rss_mb(), "MB")}
     cfg = pipeline.PipelineConfig(E1=2, E2=5, E3=1, eval_epochs=2, eval_repeats=1)
@@ -77,7 +73,9 @@ def main() -> None:
     m["refine.views_density"] = (sum(v.nnz for v in views) / (len(views) * n * n), "1")
     m["refine.epoch_s"] = (epochs[0][0], "s")
     m["test_accuracy"] = (result.metrics["accuracy_mean"], "fraction")
-    print(json.dumps({"shape": vars(a) | {"n": n},
+    shape = {"nodes": NODES, "classes": CLASSES, "dim": DIM, "p": P, "q": Q,
+             "seed": SEED, "n": n}
+    print(json.dumps({"shape": shape,
                       "metrics": {k: {"value": v, "unit": u} for k, (v, u) in m.items()}}))
 
 
