@@ -9,6 +9,7 @@ single config seed, and per-stage wall times are recorded.
 
 from __future__ import annotations
 
+import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -157,11 +158,20 @@ class PipelineConfig:
         return config_hash(self.to_dict())
 
     def validate(self) -> None:
-        """Raise ValueError on the first value outside CHOICES or RANGES.
+        """Raise ValueError on the first value of the wrong type, or outside
+        CHOICES or RANGES.
 
-        This is the only check of the config's values; the stages read them
-        as given.
+        An int field takes an integer and a float field any real number,
+        but neither takes a bool. This is the only check of the config's
+        values; the stages read them as given.
         """
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            wanted = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+            if not isinstance(value, wanted) or isinstance(value, bool) != (kind is bool):
+                key = "lambda" if f.name == "lambda_" else f.name
+                noun = {int: "an int", float: "a number", str: "a string"}.get(kind, "a bool")
+                raise ValueError(f"{key} must be {noun}, not {value!r}")
         for name, allowed in CHOICES.items():
             value = getattr(self, name)
             if value not in allowed:
@@ -330,7 +340,7 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
         resistance = effective_resistance_approx(dataset.graph, cos_deg)
         del cos_deg
         # the K sampled N x N graphs live only until they are condensed; the
-        # views stay in CSR form, and refinement densifies one at a time
+        # views stay in CSR form through refinement
         views = [
             compress_adjacency(c_norm, a)
             for a in sample_class_graphs(

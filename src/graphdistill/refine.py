@@ -138,10 +138,6 @@ def consistency_loss(view_probs: list[np.ndarray]) -> float:
     return total / (n * K)
 
 
-def _dense(adj: sp.csr_matrix | np.ndarray) -> np.ndarray:
-    return adj.toarray() if sp.issparse(adj) else adj
-
-
 def refine_loss_and_grads(
     Z: np.ndarray,
     labels: np.ndarray,
@@ -163,15 +159,13 @@ def refine_loss_and_grads(
     them all through model.head_loss_and_grads, ROW_BLOCK rows at a time,
     so the term never holds a rows x hidden array. x_prime stays the fourth
     argument, after y_prime, because perfbench's tracer reads the class
-    views' row count there. A class view in CSR form is densified for each
-    product that reads it, once in the forward loop and once in the
-    backward loop, so at most one dense n x n view is held at a time; the
-    products are dense either way. Every head forward drops hidden units at
-    params.dropout_rate, drawn from rng: L_org's blocks first, in block
-    order, then the class views. Gradients accumulate over class views in class-index order. The
-    Delta gradient rides back through the fixed propagation operator
-    P_y = sum_t c_t A'(y)^t, which is its own adjoint because each A'(y) is
-    symmetric.
+    views' row count there. Each class view multiplies in the form it is
+    given, CSR from run_pipeline, so no dense n x n view is built. Every
+    head forward drops hidden units at params.dropout_rate, drawn from rng:
+    L_org's blocks first, in block order, then the class views. Gradients
+    accumulate over class views in class-index order. The Delta gradient
+    rides back through the fixed propagation operator P_y = sum_t c_t A'(y)^t,
+    which is its own adjoint because each A'(y) is symmetric.
 
     Layer 0 of the class views runs here; the rest of the head runs through
     model.forward_cache and model.backward. P_y commutes with layer 0's
@@ -196,11 +190,11 @@ def refine_loss_and_grads(
     views: list[tuple] = []  # (d-wide layer-0 input or None, layer-0 output, cache)
     for adj in cond_adjs:
         if projected is None:
-            smoothed = propagate_dense(_dense(adj), base, alpha, T_prime)
+            smoothed = propagate_dense(adj, base, alpha, T_prime)
             s = smoothed @ W0
         else:
             smoothed = None
-            s = propagate_dense(_dense(adj), projected, alpha, T_prime)
+            s = propagate_dense(adj, projected, alpha, T_prime)
         s += b0
         if params.depth > 1:
             model.relu_dropout(s, p, rng)
@@ -229,9 +223,9 @@ def refine_loss_and_grads(
         d_b[0] += g.sum(axis=0)
         if pulled is None:
             d_w[0] += smoothed.T @ g
-            d_delta += beta * propagate_dense(_dense(adj), g @ W0.T, alpha, T_prime)
+            d_delta += beta * propagate_dense(adj, g @ W0.T, alpha, T_prime)
         else:
-            pulled += propagate_dense(_dense(adj), g, alpha, T_prime)
+            pulled += propagate_dense(adj, g, alpha, T_prime)
     if pulled is not None:
         d_w[0] += base.T @ pulled
         d_delta += beta * (pulled @ W0.T)
@@ -254,11 +248,10 @@ def refine(
     Z holds the training rows of the propagated features and labels their
     classes, so the full-graph term forwards the head (and draws its
     dropout masks) over the training rows alone. views holds one condensed
-    class adjacency per class, in CSR form or dense; both give the same
-    bytes. cfg supplies beta, gamma, lambda_, T_prime and Adam's learning
-    rate lr; the class views propagate with alpha_prime, or with the
-    propagation alpha when alpha_prime is negative. seed seeds the dropout
-    stream.
+    class adjacency per class. cfg supplies beta, gamma, lambda_, T_prime
+    and Adam's learning rate lr; the class views propagate with alpha_prime,
+    or with the propagation alpha when alpha_prime is negative. seed seeds
+    the dropout stream.
 
     Delta starts at zero, so zero epochs returns X' unchanged. The head is
     reinitialized by the caller, not reused from pretraining. Raises

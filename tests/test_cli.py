@@ -198,6 +198,17 @@ def test_config_file_with_a_removed_key_exits_with_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown config key 'eval_optimizer'\n"
 
 
+def test_config_file_with_a_value_of_the_wrong_type_exits_with_one_line(tmp_path, capsys):
+    data_dir = _gen(tmp_path)
+    config = tmp_path / "bad.toml"
+    config.write_text("E1 = 2.5\n")
+    rc = main(["distill", "--dataset-dir", str(data_dir), "--config", str(config)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: stage 'propagate' failed: E1 must be an int, not 2.5\n"
+    )
+
+
 def test_lambda_flag_spelling(tmp_path, capsys):
     data_dir = _gen(tmp_path)
     rc = main(

@@ -432,28 +432,6 @@ def test_training_epochs_hold_fewer_than_four_hidden_activations():
     assert peak < 4 * rows * hidden * 8
 
 
-def test_training_drops_the_layer_zero_gradient_at_once():
-    # At its peak an epoch holds two R x hidden arrays: the cached hidden
-    # layers in the forward, the gradient and its successor in the backward.
-    # Z's rows, the rectifier mask, the parameters, Adam's moments and the
-    # dropout blocks fit in one more layer's size at this shape. A layer-0
-    # gradient kept from the epoch before would be a third R x hidden array.
-    rows, hidden = 8192, 256
-    rng = np.random.default_rng(9)
-    z = rng.standard_normal((rows, 16))
-    labels = rng.integers(0, 4, size=rows)
-    mask = np.ones(rows, dtype=bool)
-    params = init_classifier(rng, 16, 4, depth=3, hidden_dim=hidden, dropout_rate=0.5)
-    cfg = PipelineConfig(E1=3, lr=0.01)
-    tracemalloc.start()
-    try:
-        train_classifier(z, labels, mask, params, cfg, 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * rows * hidden * 8
-
-
 # two row blocks, the last holding the leftover rows
 BLOCKED_ROWS = 2 * ROW_BLOCK + 37
 

@@ -541,6 +541,31 @@ def test_out_of_range_value_is_refused(field, value, stage_times):
     assert stage_times == {}
 
 
+@pytest.mark.parametrize(
+    "field, value, noun",
+    [
+        ("E1", 2.5, "an int"),
+        ("E1", True, "an int"),
+        ("lambda_", "x", "a number"),
+        ("rho", "0.5", "a number"),
+        ("alpha", False, "a number"),
+        ("ratio_base", 1, "a string"),
+        ("inductive", 1, "a bool"),
+    ],
+)
+def test_value_of_the_wrong_type_is_refused(field, value, noun, stage_times):
+    ds = _small_sbm(0)
+    key = "lambda" if field == "lambda_" else field
+    wanted = re.escape(f"{key} must be {noun}, not {value!r}")
+    with pytest.raises(PipelineError, match=rf"stage 'propagate' failed: {wanted}$"):
+        run_pipeline(ds, _fast_config(**{field: value}))
+    assert stage_times == {}
+
+
+def test_integers_are_accepted_in_float_fields():
+    PipelineConfig(alpha=0, lr=1, E1=np.int64(3)).validate()
+
+
 def test_eval_repeats_below_one_is_refused(stage_times):
     ds = _small_sbm(0)
     with pytest.raises(
@@ -621,9 +646,11 @@ def test_run_pipeline_frees_sampled_graphs_and_z_after_their_last_reader(monkeyp
     assert seen["evaluate"] == {"sampled": 0, "Z": False}
 
 
-def test_csr_class_views_give_the_bytes_of_dense_views(monkeypatch):
-    # run_pipeline keeps the class views in CSR form; a distill that hands
-    # refine the same views densified writes the same bytes
+def test_csr_class_views_match_the_dense_view_oracle(monkeypatch):
+    # run_pipeline keeps the class views in CSR form and refinement
+    # multiplies them as CSR. A distill that hands refine the same views
+    # densified is the oracle: its products are dense GEMMs, which sum in
+    # another order, so at n = 40 the bytes of X' differ, within rounding.
     views_seen = []
     refine = pipeline.refine
 
@@ -631,18 +658,24 @@ def test_csr_class_views_give_the_bytes_of_dense_views(monkeypatch):
         views_seen.extend(views)
         return refine(Z, labels, condensed, [v.toarray() for v in views], *args, **kwargs)
 
-    for cfg in (_fast_config(), _fast_config(hidden=4)):  # d = 8 wider than W0
-        csr = run_pipeline(_small_sbm(0), cfg)
+    ds = generate_sbm(
+        SbmSpec(num_nodes=400, num_classes=3, intra_prob=0.05, inter_prob=0.005,
+                feature_dim=8, separation=2.0, noise_scale=0.5, seed=0)
+    )
+    # W0 16 wide, then 4 wide: d = 8 is narrow, then wide
+    for cfg in (_fast_config(num_synthetic=40), _fast_config(num_synthetic=40, hidden=4)):
+        csr = run_pipeline(ds, cfg)
         with monkeypatch.context() as m:
             m.setattr(pipeline, "refine", dense_views)
-            dense = run_pipeline(_small_sbm(0), cfg)
+            dense = run_pipeline(ds, cfg)
         assert views_seen and all(v.format == "csr" for v in views_seen)
         views_seen.clear()
-        for name in ("x_prime", "a_prime", "y_prime"):
+        got, want = csr.condensed.x_prime, dense.condensed.x_prime
+        assert got.tobytes() != want.tobytes()
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        for name in ("a_prime", "y_prime"):  # refinement does not touch them
             got, want = getattr(csr.condensed, name), getattr(dense.condensed, name)
             assert got.tobytes() == want.tobytes(), name
-        assert csr.accuracies == dense.accuracies
-        assert csr.metrics == dense.metrics
 
 
 def test_run_pipeline_builds_the_sketching_matrix_once(monkeypatch):
