@@ -165,11 +165,10 @@ class PipelineConfig:
         but neither takes a bool. This is the only check of the config's
         values; the stages read them as given.
         """
-        for f in fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
+        for (key, value), f in zip(self.to_dict().items(), fields(self)):
+            kind = type(f.default)
             wanted = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
             if not isinstance(value, wanted) or isinstance(value, bool) != (kind is bool):
-                key = "lambda" if f.name == "lambda_" else f.name
                 noun = {int: "an int", float: "a number", str: "a string"}.get(kind, "a bool")
                 raise ValueError(f"{key} must be {noun}, not {value!r}")
         for name, allowed in CHOICES.items():
