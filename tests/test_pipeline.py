@@ -575,8 +575,9 @@ def test_eval_repeats_below_one_is_refused(stage_times):
     assert stage_times == {}
 
 
-# The fields that validate leaves unchecked on purpose: learning rates,
-# penalties and loss weights, the k-means size switch, the flags and the seed.
+# The fields whose values validate checks for type only, on purpose: learning
+# rates, penalties and loss weights, the k-means size switch, the flags and
+# the seed.
 UNCHECKED = (
     "lr", "weight_decay", "beta", "gamma", "lambda_", "eval_lr",
     "eval_weight_decay", "minibatch_threshold", "inductive", "clustgdd_x", "seed",
