@@ -542,21 +542,20 @@ def test_out_of_range_value_is_refused(field, value, stage_times):
 
 
 @pytest.mark.parametrize(
-    "field, value, noun",
+    "field, value, message",
     [
-        ("E1", 2.5, "an int"),
-        ("E1", True, "an int"),
-        ("lambda_", "x", "a number"),
-        ("rho", "0.5", "a number"),
-        ("alpha", False, "a number"),
-        ("ratio_base", 1, "a string"),
-        ("inductive", 1, "a bool"),
+        ("E1", 2.5, "E1 must be an int"),
+        ("E1", True, "E1 must be an int"),
+        ("lambda_", "x", "lambda must be a number"),
+        ("rho", "0.5", "rho must be a number"),
+        ("alpha", False, "alpha must be a number"),
+        ("ratio_base", 1, "ratio_base must be a string"),
+        ("inductive", 1, "inductive must be a bool"),
     ],
 )
-def test_value_of_the_wrong_type_is_refused(field, value, noun, stage_times):
+def test_value_of_the_wrong_type_is_refused(field, value, message, stage_times):
     ds = _small_sbm(0)
-    key = "lambda" if field == "lambda_" else field
-    wanted = re.escape(f"{key} must be {noun}, not {value!r}")
+    wanted = re.escape(f"{message}, not {value!r}")
     with pytest.raises(PipelineError, match=rf"stage 'propagate' failed: {wanted}$"):
         run_pipeline(ds, _fast_config(**{field: value}))
     assert stage_times == {}
